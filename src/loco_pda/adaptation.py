@@ -7,7 +7,6 @@ experiment comparing how the two degrade.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -24,7 +23,7 @@ from .models import (
     extract_activations,
     train_softmax_stack,
 )
-from .numerics import derive_rng, stage_key
+from .numerics import DenseLayer, derive_rng, stage_key
 
 
 class LabelMode(Enum):
@@ -176,8 +175,11 @@ class AdaptationReport:
         }
 
 
-def _copy_model(model: MlpModel) -> MlpModel:
-    return copy.deepcopy(model)
+def _with_classifier_copy(mp: MlpModel) -> MlpModel:
+    """mp's feature extractor, shared and left untrained, and a copy of its classifier."""
+    fc = mp.fc_layer
+    fc_copy = DenseLayer(fc.weight.copy(), fc.bias.copy(), fc.activation)
+    return MlpModel(mp.fe_layers + [fc_copy], mp.feature_boundary, replace(mp.meta))
 
 
 def _subset_accuracy(model: MlpModel, val) -> float | None:
@@ -217,7 +219,7 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
         pool = generate_uncond(generator, counts, seed=seed)
     else:
         pool = generate_activations(generator, counts, seed=seed)
-    adapted = _copy_model(mp)
+    adapted = _with_classifier_copy(mp)
     pre = _subset_accuracy(adapted, val)
     log = train_softmax_stack([adapted.fc_layer], pool.features, pool.labels,
                               cfg.hyper, seed=seed)
@@ -272,7 +274,7 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
     started = time.perf_counter()
     pick = derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
     feats, labs = stored.features[pick], labels[pick]
-    adapted = _copy_model(mp)
+    adapted = _with_classifier_copy(mp)
     pre = _subset_accuracy(adapted, val)
     log = train_softmax_stack([adapted.fc_layer], feats, labs, hyper, seed=seed)
     post = _subset_accuracy(adapted, val)

@@ -10,6 +10,7 @@ whitespace differences in the source file.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .adaptation import AdaptationConfig, DEFAULT_ADAPT_HYPER, DEFAULT_BASELINE_HYPER
@@ -169,7 +170,13 @@ class PipelineConfig:
                     bad(f"{f.name} must be >= 0")
             elif f.name.endswith(("_epochs", "_batch")) and v < 1:
                 bad(f"{f.name} must be >= 1")
-            if f.name.endswith("_lr") and v < 0:
+            if f.name.endswith("_lr") and not v >= 0:
+                bad(f"{f.name} must be >= 0")
+            if f.name.endswith("lr_gamma") and not 0 < v <= 1:
+                bad(f"{f.name} must lie in (0, 1]")
+            if f.name.endswith("momentum") and not 0 <= v < 1:
+                bad(f"{f.name} must lie in [0, 1)")
+            if f.name.startswith("beta_") and not v >= 0:
                 bad(f"{f.name} must be >= 0")
 
 
@@ -179,7 +186,10 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _int_tuple(text: str) -> tuple:

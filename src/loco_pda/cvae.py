@@ -21,6 +21,7 @@ from .numerics import (
     Activation,
     Adam,
     DenseLayer,
+    FlatParams,
     LrSchedule,
     check_finite,
     derive_rng,
@@ -29,6 +30,7 @@ from .numerics import (
     set_stack_params,
     stack_backward,
     stack_forward,
+    stack_grads,
     stack_params,
     stage_key,
 )
@@ -57,23 +59,6 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.
     if noise.shape != mu.shape:
         raise ShapeError(f"noise shape {noise.shape} does not match {mu.shape}")
     return mu + np.exp(0.5 * logvar) * noise
-
-
-@dataclass(frozen=True)
-class LatentSample:
-    """One reparameterized draw: z = mu + sigma * noise, all kept together."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    noise: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def draw(cls, mu: np.ndarray, logvar: np.ndarray,
-             noise: np.ndarray) -> "LatentSample":
-        sigma = np.exp(0.5 * logvar)
-        return cls(mu=mu, sigma=sigma, noise=noise,
-                   z=reparameterize(mu, logvar, noise))
 
 
 @dataclass(frozen=True)
@@ -179,12 +164,12 @@ class CvaeModel:
             return rows
         return np.concatenate([rows, onehot], axis=1)
 
-    def encode(self, acts: np.ndarray, onehot: np.ndarray):
-        enc_out = stack_forward(self.encoder, self._condition(acts, onehot))
+    def encode(self, acts: np.ndarray, onehot: np.ndarray, keep: bool = False):
+        enc_out = stack_forward(self.encoder, self._condition(acts, onehot), keep)
         return enc_out[:, : self.z_dim], enc_out[:, self.z_dim:]
 
-    def decode(self, z: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-        return stack_forward(self.decoder, self._condition(z, onehot))
+    def decode(self, z: np.ndarray, onehot: np.ndarray, keep: bool = False) -> np.ndarray:
+        return stack_forward(self.decoder, self._condition(z, onehot), keep)
 
     def loss_and_grads(self, acts: np.ndarray, onehot: np.ndarray,
                        noise: np.ndarray, beta: float):
@@ -195,10 +180,10 @@ class CvaeModel:
         log-variance picks up 0.5 * sigma * noise) and beta times the KL
         gradient.
         """
-        mu, logvar = self.encode(acts, onehot)
+        mu, logvar = self.encode(acts, onehot, keep=True)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * noise
-        recon = self.decode(z, onehot)
+        recon = self.decode(z, onehot, keep=True)
         recon_loss, grad_recon = mse_loss(recon, acts)
         kl, gmu_kl, glv_kl = kl_diag_gauss(mu, logvar)
         loss = recon_loss + beta * kl
@@ -207,14 +192,8 @@ class CvaeModel:
         grad_mu = grad_z + beta * gmu_kl
         grad_logvar = grad_z * (0.5 * sigma * noise) + beta * glv_kl
         grad_enc_out = np.concatenate([grad_mu, grad_logvar], axis=1)
-        _, enc_grads = stack_backward(self.encoder, grad_enc_out)
-        grads = {}
-        for i, (gw, gb) in enumerate(enc_grads):
-            grads[f"enc{i}.w"] = gw
-            grads[f"enc{i}.b"] = gb
-        for i, (gw, gb) in enumerate(dec_grads):
-            grads[f"dec{i}.w"] = gw
-            grads[f"dec{i}.b"] = gb
+        _, enc_grads = stack_backward(self.encoder, grad_enc_out, need_input_grad=False)
+        grads = stack_grads(enc_grads, prefix="enc") | stack_grads(dec_grads, prefix="dec")
         return loss, grads, recon_loss, kl
 
 
@@ -252,11 +231,12 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
         onehot_all = one_hot(labels, model.num_classes)
     else:
         onehot_all = np.zeros((n, 0), dtype=F32)
-    params = model.named_params()
+    flat = FlatParams(model.named_params())
+    model.set_params(flat.views)
     optimizer = Adam(LrSchedule(hyper.lr, hyper.lr_step_epochs, hyper.lr_gamma))
     shuffle_rng = derive_rng(seed, *stream, stage_key("vae-shuffle"))
     noise_rng = derive_rng(seed, *stream, stage_key("vae-noise"))
-    checkpoint = {k: v.copy() for k, v in params.items()}
+    checkpoint = flat.value.copy()
     checkpoint_epoch = -1
     log = []
     for epoch in range(hyper.epochs):
@@ -272,13 +252,13 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last finite snapshot is "
                     f"from epoch {checkpoint_epoch}",
-                    checkpoint=checkpoint, epoch=epoch,
+                    checkpoint=flat.unflatten(checkpoint), epoch=epoch,
                 )
-            optimizer.step(params, grads, epoch)
+            flat.step(optimizer, grads, epoch)
             loss_sum += loss * len(idx)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)
-        checkpoint = {k: v.copy() for k, v in params.items()}
+        checkpoint = flat.value.copy()
         checkpoint_epoch = epoch
         log.append(VaeEpochStats(epoch, loss_sum / n, recon_sum / n, kl_sum / n, beta))
     return log

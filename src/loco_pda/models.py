@@ -7,7 +7,7 @@ the FE, gets a fresh classifier, and is briefly finetuned on the source data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,7 @@ from .numerics import (
     Activation,
     Adam,
     DenseLayer,
+    FlatParams,
     LrSchedule,
     SgdMomentum,
     check_finite,
@@ -27,6 +28,7 @@ from .numerics import (
     stack_backward,
     stack_forward,
     stage_key,
+    stack_grads,
     stack_params,
 )
 
@@ -167,10 +169,10 @@ class MlpModel:
         return self.layers[-1]
 
     def features(self, x: np.ndarray) -> np.ndarray:
-        return stack_forward(self.fe_layers, x)
+        return stack_forward(self.fe_layers, x, keep=False)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return stack_forward(self.layers, x)
+        return stack_forward(self.layers, x, keep=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=1)
@@ -253,8 +255,9 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     y = np.asarray(y)
     if y.size and (y.min() < 0 or y.max() >= layers[-1].out_dim):
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
-    params = stack_params(layers)
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
+    flat = FlatParams(stack_params(layers))
+    set_stack_params(layers, flat.views)
     rng = derive_rng(seed, stage_key("shuffle"))
     log = []
     n = x.shape[0]
@@ -264,22 +267,18 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
         for start in range(0, n, hyper.batch_size):
             idx = perm[start: start + hyper.batch_size]
             bx, by = x[idx], y[idx]
-            logits = stack_forward(layers, bx)
+            logits = stack_forward(layers, bx, keep=optimizer is not None)
             loss, grad = softmax_xent_loss(logits, by)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}")
             hits += int((np.argmax(logits, axis=1) == by).sum())
             losses.append(loss * len(by))
             if optimizer is not None:
-                _, per_layer = stack_backward(layers, grad)
-                grads = {}
-                for i, (gw, gb) in enumerate(per_layer):
-                    grads[f"layer{i}.w"] = gw
-                    grads[f"layer{i}.b"] = gb
-                optimizer.step(params, grads, epoch)
+                _, per_layer = stack_backward(layers, grad, need_input_grad=False)
+                flat.step(optimizer, stack_grads(per_layer), epoch)
         val_acc = None
         if val is not None:
-            val_logits = stack_forward(layers, val[0])
+            val_logits = stack_forward(layers, val[0], keep=False)
             val_acc = float((np.argmax(val_logits, axis=1) == val[1]).mean())
         log.append(EpochStats(epoch, sum(losses) / n, hits / n, val_acc))
     return log

@@ -1,9 +1,9 @@
 """Dense neural-network substrate: matrices, layers, losses, optimizers.
 
 Everything trains in float32 with hand-derived gradients; there is no autodiff
-graph. Layers cache their forward inputs so backward can be called right
-after. The gradient checker upcasts to float64 so the finite-difference
-oracle is not swamped by float32 rounding.
+graph. A training forward caches each layer's input and output until the
+following backward call. The gradient checker upcasts to float64 so the
+finite-difference oracle is not swamped by float32 rounding.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ def stage_key(tag: str) -> int:
 # code.
 
 
-def as_matrix(data, dtype=F32) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
-    if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return arr
-
-
 def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"non-finite values in {name}")
@@ -95,8 +88,8 @@ class Activation(IntEnum):
 class DenseLayer:
     """Fully connected layer: out = act(x @ W.T + b).
 
-    weight is [out_dim x in_dim], bias is [out_dim]. forward caches its input
-    and pre-activation for the following backward call.
+    weight is [out_dim x in_dim], bias is [out_dim]. forward can cache its
+    input and output for one following backward call, which consumes them.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: Activation):
@@ -109,8 +102,7 @@ class DenseLayer:
         self.weight = weight
         self.bias = bias
         self.activation = Activation(activation)
-        self._x = None
-        self._pre = None
+        self._x = self._out = None
 
     @classmethod
     def create(cls, rng: np.random.Generator, in_dim: int, out_dim: int,
@@ -133,46 +125,54 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """keep caches x and the output for backward: modify neither until then."""
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"layer expects [batch x {self.in_dim}], got {x.shape}")
-        pre = x @ self.weight.T + self.bias
-        self._x = x
-        self._pre = pre
+        out = x @ self.weight.T  # bias and ReLU go in place: one batch-sized array
+        out += self.bias
         if self.activation == Activation.RELU:
-            return np.maximum(pre, 0)
-        return pre
+            np.maximum(out, 0, out=out)
+        if keep:
+            self._x, self._out = x, out
+        return out
 
-    def backward(self, grad_out: np.ndarray):
-        """Gradients of the cached forward. Returns (grad_in, grad_w, grad_b)."""
-        if self._x is None:
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True):
+        """Gradients of the cached forward, whose cache this call releases.
+        Returns (grad_in, grad_w, grad_b); grad_in is None unless
+        need_input_grad."""
+        x, out = self._x, self._out
+        if x is None:
             raise StateError("backward called before forward")
-        if grad_out.shape != (self._x.shape[0], self.out_dim):
+        if grad_out.shape != (x.shape[0], self.out_dim):
             raise ShapeError(
                 f"grad_out shape {grad_out.shape} does not match cached forward "
-                f"({self._x.shape[0]}, {self.out_dim})"
+                f"({x.shape[0]}, {self.out_dim})"
             )
+        self._x = self._out = None
         if self.activation == Activation.RELU:
-            # subgradient at 0 is 0
-            grad_out = grad_out * (self._pre > 0)
-        grad_w = grad_out.T @ self._x
+            # out > 0 exactly where the pre-activation is; subgradient at 0 is 0
+            grad_out = grad_out * (out > 0)
+        grad_w = grad_out.T @ x
         grad_b = grad_out.sum(axis=0)
-        grad_in = grad_out @ self.weight
+        grad_in = grad_out @ self.weight if need_input_grad else None
         return grad_in, grad_w, grad_b
 
 
-def stack_forward(layers: list[DenseLayer], x: np.ndarray) -> np.ndarray:
+def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) -> np.ndarray:
     for layer in layers:
-        x = layer.forward(x)
+        x = layer.forward(x, keep)
     return x
 
 
-def stack_backward(layers: list[DenseLayer], grad_out: np.ndarray):
-    """Backprop through a layer stack. Returns (grad_in, [(grad_w, grad_b), ...])."""
+def stack_backward(layers: list[DenseLayer], grad_out: np.ndarray,
+                   need_input_grad: bool = True):
+    """Backprop through a layer stack. Returns (grad_in, [(grad_w, grad_b), ...]);
+    without need_input_grad, grad_in is None and layer 0 skips that product."""
     per_layer = [None] * len(layers)
     grad = grad_out
     for i in reversed(range(len(layers))):
-        grad, gw, gb = layers[i].backward(grad)
+        grad, gw, gb = layers[i].backward(grad, need_input_grad or i > 0)
         per_layer[i] = (gw, gb)
     return grad, per_layer
 
@@ -183,6 +183,12 @@ def stack_params(layers: list[DenseLayer], prefix: str = "layer") -> dict[str, n
         out[f"{prefix}{i}.w"] = layer.weight
         out[f"{prefix}{i}.b"] = layer.bias
     return out
+
+
+def stack_grads(per_layer, prefix: str = "layer") -> dict[str, np.ndarray]:
+    """stack_backward's per-layer gradients, keyed like stack_params."""
+    return {f"{prefix}{i}.{k}": g
+            for i, pair in enumerate(per_layer) for k, g in zip("wb", pair)}
 
 
 def set_stack_params(layers: list[DenseLayer], params: dict[str, np.ndarray],
@@ -255,10 +261,45 @@ class LrSchedule:
         return self.base_lr * self.gamma ** (epoch // self.step_epochs)
 
 
+class FlatParams:
+    """Named parameters copied into one vector, value, that views slices by
+    name (rebind the model to them), plus a gradient buffer of the same
+    layout, so that an optimizer steps every parameter in one pass."""
+
+    def __init__(self, params: dict[str, np.ndarray]):
+        self._shapes = {name: p.shape for name, p in params.items()}
+        self.value = np.concatenate([p.reshape(-1) for p in params.values()])
+        self.grad = np.empty_like(self.value)
+        self.views = self.unflatten(self.value)
+        self._grad_views = self.unflatten(self.grad)
+
+    def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-name views of a vector laid out like value, e.g. a copy of it."""
+        out, start = {}, 0
+        for name, shape in self._shapes.items():
+            end = start + math.prod(shape)
+            out[name] = vector[start:end].reshape(shape)
+            start = end
+        return out
+
+    def step(self, optimizer: "_Optimizer", grads: dict[str, np.ndarray], epoch: int) -> None:
+        for name, grad in grads.items():
+            self._grad_views[name][...] = grad
+        try:
+            optimizer.step({"flat": self.value}, {"flat": self.grad}, epoch)
+        except NumericError:  # the optimizer saw a non-finite gradient; name it
+            bad = [name for name, g in self._grad_views.items() if not np.all(np.isfinite(g))]
+            raise NumericError(f"non-finite gradient for parameter '{bad[0]}'") from None
+
+
 class _Optimizer:
+    """Updates each named parameter in place with per-name state and scratch
+    buffers; every float rounds as in the textbook out-of-place formula."""
+
     def __init__(self, schedule: LrSchedule):
         self.schedule = schedule
         self._last_epoch = -1
+        self._state: dict[str, list[np.ndarray]] = {}
 
     def _check(self, params, grads, epoch):
         if epoch < self._last_epoch:
@@ -273,6 +314,12 @@ class _Optimizer:
             if not np.all(np.isfinite(grad)):
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
 
+    def _buffers(self, name: str, param: np.ndarray, zeroed: int, scratch: int):
+        if name not in self._state:
+            self._state[name] = ([np.zeros_like(param) for _ in range(zeroed)]
+                                 + [np.empty_like(param) for _ in range(scratch)])
+        return self._state[name]
+
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              epoch: int) -> None:
         raise NotImplementedError
@@ -282,19 +329,16 @@ class SgdMomentum(_Optimizer):
     def __init__(self, schedule: LrSchedule, momentum: float = 0.9):
         super().__init__(schedule)
         self.momentum = float(momentum)
-        self._velocity: dict[str, np.ndarray] = {}
 
     def step(self, params, grads, epoch):
         self._check(params, grads, epoch)
         lr = self.schedule.lr_at(epoch)
         for name, grad in grads.items():
-            vel = self._velocity.get(name)
-            if vel is None:
-                vel = np.zeros_like(params[name])
-                self._velocity[name] = vel
+            param = params[name]
+            vel, update = self._buffers(name, param, zeroed=1, scratch=1)
             vel *= self.momentum
             vel += grad
-            params[name] -= (lr * vel).astype(params[name].dtype, copy=False)
+            param -= np.multiply(vel, lr, out=update)
 
 
 class Adam(_Optimizer):
@@ -304,8 +348,6 @@ class Adam(_Optimizer):
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
         self._t = 0
 
     def step(self, params, grads, epoch):
@@ -315,16 +357,23 @@ class Adam(_Optimizer):
         b1c = 1.0 - self.beta1 ** self._t
         b2c = 1.0 - self.beta2 ** self._t
         for name, grad in grads.items():
-            if name not in self._m:
-                self._m[name] = np.zeros_like(params[name])
-                self._v[name] = np.zeros_like(params[name])
-            m, v = self._m[name], self._v[name]
+            param = params[name]
+            m, v, s, u = self._buffers(name, param, zeroed=2, scratch=2)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            # m of a parameter whose gradient stays 0 (a dead ReLU unit) decays
+            # into subnormals, which x86 handles several times slower; zero it
+            # there. Its update was already far below one ulp of the parameter.
+            m *= np.greater_equal(np.abs(m, out=s), np.finfo(m.dtype).tiny, out=u)
+            m += np.multiply(grad, 1.0 - self.beta1, out=s)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            update = lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-            params[name] -= update.astype(params[name].dtype, copy=False)
+            np.multiply(grad, 1.0 - self.beta2, out=s)
+            v += np.multiply(s, grad, out=s)
+            # update = lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            np.multiply(np.divide(m, b1c, out=s), lr, out=s)
+            np.sqrt(np.divide(v, b2c, out=u), out=u)
+            u += self.eps
+            s /= u
+            param -= s
 
 
 # ---------------------------------------------------------------------------

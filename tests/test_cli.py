@@ -128,6 +128,13 @@ def test_bad_config_exit_code(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_non_finite_config_exit_code(tmp_path):
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[adapt]\nlr = nan\n", encoding="utf-8")
+    code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG
+
+
 def test_format_error_exit_code(tiny):
     cfg, out = tiny
     assert run(cfg, out, "synth-data") == 0

@@ -141,3 +141,42 @@ def test_validate_catches_structural_problems():
         PipelineConfig(adapt_epochs=0).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(seeds=()).validate()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("adapt", "lr", "nan"),
+    ("adapt", "momentum", "inf"),
+    ("cvae", "beta_max", "nan"),
+    ("dataset", "class_mean_scale", "-inf"),
+])
+def test_parse_rejects_non_finite_floats(section, key, value):
+    with pytest.raises(ConfigError, match="finite") as exc_info:
+        parse_config_text(f"[{section}]\n{key} = {value}\n", source="conf.ini")
+    assert "conf.ini:2" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("cvae", "lr_gamma", "0.0"),
+    ("adapt", "lr_gamma", "-5"),
+    ("baseline", "lr_gamma", "1.5"),
+    ("adapt", "momentum", "1.0"),
+    ("baseline", "momentum", "-0.1"),
+    ("cvae", "beta_start", "-0.1"),
+    ("cvae", "beta_step", "-1"),
+])
+def test_parse_rejects_out_of_range_optimizer_floats(section, key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+def test_range_edges_are_accepted():
+    cfg = parse_config_text("[cvae]\nlr_gamma = 1.0\nbeta_start = 0.0\n"
+                            "[adapt]\nmomentum = 0.0\n")
+    assert (cfg.cvae_lr_gamma, cfg.beta_start, cfg.adapt_momentum) == (1.0, 0.0, 0.0)
+
+
+def test_validate_rejects_nan_set_in_code():
+    with pytest.raises(ConfigError):
+        PipelineConfig(adapt_lr=float("nan")).validate()
+    with pytest.raises(ConfigError):
+        PipelineConfig(beta_max=float("nan")).validate()

@@ -31,6 +31,7 @@ from loco_pda.models import (
     Provenance,
     TrainHyper,
     extract_activations,
+    prune_model,
     synth_dataset,
     train_source_model,
 )
@@ -408,3 +409,31 @@ def test_generate_uncond_count_shape_checked():
         generate_uncond(pack, np.array([1, 2, 3]))
     empty = generate_uncond(pack, np.array([0, 0]))
     assert empty.features.shape[0] == 0
+
+
+# --- forward caches ---
+
+
+def _cached_batches(layers):
+    """Array attributes of the layers other than their parameters."""
+    return [(i, key) for i, layer in enumerate(layers) for key, value in vars(layer).items()
+            if isinstance(value, np.ndarray) and key not in ("weight", "bias")]
+
+
+def test_no_layer_keeps_a_batch_after_training_or_generation():
+    ds = synth_dataset(DatasetSpec(num_classes=2, input_dim=6, train_per_class=40,
+                                   val_per_class=10, seed=2))
+    hyper = TrainHyper(epochs=2, batch_size=16, lr=1e-3)
+    m0, _ = train_source_model(ds, feature_widths=(8, 4), hyper=hyper, seed=2)
+    mp = prune_model(m0, 0.25, ds, finetune_hyper=hyper, seed=2)
+    mp.predict(ds.val_x)
+    acts = extract_activations(mp, ds.train_x, labels=ds.train_y)
+    small = CvaeHyper(epochs=2, batch_size=16)
+    gen, _ = train_cvae(acts, 2, hyper=small, seed=2, z_dim=2, enc_widths=(8,),
+                        dec_widths=(6,))
+    generate_activations(gen, np.array([5, 5]), seed=2)
+    pack, _ = train_uncond_pack(acts, 2, hyper=small, seed=2)
+    generate_uncond(pack, np.array([5, 5]), seed=2)
+    stacks = [m0.layers, mp.layers, gen.encoder, gen.decoder]
+    stacks += [vae.encoder for vae in pack.vaes] + [vae.decoder for vae in pack.vaes]
+    assert [_cached_batches(layers) for layers in stacks] == [[]] * len(stacks)

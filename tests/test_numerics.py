@@ -16,6 +16,7 @@ from loco_pda.numerics import (
     Activation,
     Adam,
     DenseLayer,
+    FlatParams,
     LrSchedule,
     SgdMomentum,
     derive_rng,
@@ -240,6 +241,173 @@ def test_optimizer_rejects_backwards_epoch():
     opt.step({"w": np.zeros(1)}, {"w": np.zeros(1)}, epoch=3)
     with pytest.raises(StateError):
         opt.step({"w": np.zeros(1)}, {"w": np.zeros(1)}, epoch=2)
+
+
+# --- in-place optimizers against the textbook out-of-place formulas ---
+
+
+def _textbook_adam(param, grads, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as written before the in-place rewrite: no scratch, no flush.
+    Returns the final parameter and first moment."""
+    p, m, v = param.copy(), np.zeros_like(param), np.zeros_like(param)
+    for t, (g, lr) in enumerate(zip(grads, lrs), start=1):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        b1c = 1.0 - beta1 ** t
+        b2c = 1.0 - beta2 ** t
+        update = lr * (m / b1c) / (np.sqrt(v / b2c) + eps)
+        p -= update.astype(p.dtype, copy=False)
+    return p, m
+
+
+def _textbook_sgd(param, grads, lrs, momentum=0.9):
+    p, vel = param.copy(), np.zeros_like(param)
+    for g, lr in zip(grads, lrs):
+        vel *= momentum
+        vel += g
+        p -= (lr * vel).astype(p.dtype, copy=False)
+    return p
+
+
+def _grad_stream(dtype, steps, shape=(16, 12), dead_after=None, seed=3):
+    """Seeded gradients; with dead_after, the first two rows read 0 from that
+    step on, like the weights of a ReLU unit that stopped firing."""
+    rng = make_rng(seed)
+    grads = [rng.standard_normal(shape).astype(dtype) for _ in range(steps)]
+    if dead_after is not None:
+        for g in grads[dead_after:]:
+            g[:2] = 0
+    return grads
+
+
+def _run(opt, param, grads, epochs):
+    param = param.copy()
+    for g, epoch in zip(grads, epochs):
+        opt.step({"w": param}, {"w": g}, epoch)
+    return param
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_inplace_optimizer_is_bitwise_textbook(kind, dtype):
+    sched = LrSchedule(1e-2, step_epochs=4, gamma=0.1)
+    grads = _grad_stream(dtype, 24, dead_after=6)
+    epochs = [i // 2 for i in range(24)]
+    lrs = [sched.lr_at(e) for e in epochs]
+    # small weights, so that one ulp of an update shows in the result
+    param = (0.01 * make_rng(4).standard_normal((16, 12))).astype(dtype)
+    if kind == "adam":
+        got = _run(Adam(sched), param, grads, epochs)
+        want, _ = _textbook_adam(param, grads, lrs)
+    else:
+        got = _run(SgdMomentum(sched, momentum=0.9), param, grads, epochs)
+        want = _textbook_sgd(param, grads, lrs)
+    assert _bits_equal(got, want)
+    assert not np.array_equal(got, param)
+
+
+def test_adam_subnormal_flush_keeps_parameters_bitwise():
+    """900 steps with zero gradient on two rows drive their first moment deep
+    into the float32 subnormal range in the textbook formula; the in-place
+    Adam zeroes those entries and must still land on the same bits."""
+    steps = 900
+    grads = _grad_stream(np.float32, steps, dead_after=1)
+    param = (0.01 * make_rng(5).standard_normal((16, 12))).astype(np.float32)
+    got = _run(Adam(LrSchedule(1e-3)), param, grads, [0] * steps)
+    want, textbook_m = _textbook_adam(param, grads, [1e-3] * steps)
+    tiny = np.finfo(np.float32).tiny
+    dead_m = np.abs(textbook_m[:2])
+    assert ((dead_m > 0) & (dead_m < tiny)).all()   # the case under test
+    assert _bits_equal(got, want)
+
+
+def test_flat_params_step_matches_per_name_step():
+    rng = make_rng(6)
+    params = {"a.w": rng.standard_normal((3, 4)).astype(np.float32),
+              "a.b": rng.standard_normal(3).astype(np.float32)}
+    grads = [{k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+             for _ in range(5)]
+    per_name = {k: v.copy() for k, v in params.items()}
+    opt = Adam(LrSchedule(1e-2))
+    for g in grads:
+        opt.step(per_name, g, epoch=0)
+    flat = FlatParams(params)
+    opt = Adam(LrSchedule(1e-2))
+    for g in grads:
+        flat.step(opt, g, epoch=0)
+    for name in params:
+        assert _bits_equal(flat.views[name], per_name[name])
+        np.testing.assert_array_equal(flat.views[name],
+                                      flat.unflatten(flat.value.copy())[name])
+
+
+def test_flat_params_names_the_nonfinite_parameter():
+    params = {"a.w": np.zeros((2, 2), dtype=np.float32),
+              "a.b": np.zeros(2, dtype=np.float32)}
+    flat = FlatParams(params)
+    bad = {"a.w": np.zeros((2, 2), dtype=np.float32),
+           "a.b": np.array([0.0, np.inf], dtype=np.float32)}
+    with pytest.raises(NumericError, match="'a.b'"):
+        flat.step(SgdMomentum(LrSchedule(0.1)), bad, epoch=0)
+
+
+# --- skipped input gradients ---
+
+
+@pytest.mark.parametrize("activation", [Activation.IDENTITY, Activation.RELU])
+def test_backward_without_input_grad(activation, rng):
+    layer = DenseLayer.create(make_rng(8), 4, 3, activation)
+    x = rng.standard_normal((5, 4)).astype(np.float32)
+    grad_out = rng.standard_normal((5, 3)).astype(np.float32)
+    layer.forward(x)
+    full = layer.backward(grad_out)
+    layer.forward(x)
+    grad_in, grad_w, grad_b = layer.backward(grad_out, need_input_grad=False)
+    assert grad_in is None and full[0] is not None
+    assert _bits_equal(grad_w, full[1])
+    assert _bits_equal(grad_b, full[2])
+
+
+def test_stack_backward_skips_only_the_first_input_grad(rng):
+    layers = [DenseLayer.create(make_rng(i), d_in, d_out, act)
+              for i, (d_in, d_out, act) in enumerate(
+                  [(4, 6, Activation.RELU), (6, 5, Activation.RELU),
+                   (5, 2, Activation.IDENTITY)])]
+    x = rng.standard_normal((7, 4)).astype(np.float32)
+    grad_out = rng.standard_normal((7, 2)).astype(np.float32)
+    stack_forward(layers, x)
+    full_in, full = stack_backward(layers, grad_out)
+    asked = []
+    for i, layer in enumerate(layers):
+        def spy(grad, need_input_grad=True, i=i, inner=layer.backward):
+            asked.append((i, need_input_grad))
+            return inner(grad, need_input_grad)
+        layer.backward = spy
+    stack_forward(layers, x)
+    grad_in, per_layer = stack_backward(layers, grad_out, need_input_grad=False)
+    assert grad_in is None and full_in.shape == x.shape
+    assert sorted(asked) == [(0, False), (1, True), (2, True)]
+    for (gw, gb), (fw, fb) in zip(per_layer, full):
+        assert _bits_equal(gw, fw) and _bits_equal(gb, fb)
+
+
+def test_forward_without_keep_leaves_nothing_for_backward(rng):
+    layer = DenseLayer.create(make_rng(0), 3, 2, Activation.RELU)
+    x = rng.standard_normal((4, 3)).astype(np.float32)
+    out = layer.forward(x, keep=False)
+    np.testing.assert_array_equal(out, np.maximum(x @ layer.weight.T + layer.bias, 0))
+    with pytest.raises(StateError):
+        layer.backward(np.zeros((4, 2), dtype=np.float32))
+    layer.forward(x)
+    layer.backward(np.zeros((4, 2), dtype=np.float32))
+    with pytest.raises(StateError):  # the cache went with the first backward
+        layer.backward(np.zeros((4, 2), dtype=np.float32))
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
