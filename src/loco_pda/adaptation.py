@@ -7,7 +7,6 @@ experiment comparing how the two degrade.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -158,9 +157,6 @@ class AdaptationReport:
     pre_accuracy: float | None = None
     post_accuracy: float | None = None
     ledger_name: str | None = None
-    # wall clock is informational only; it never enters serialized reports so
-    # repeated runs stay byte-identical
-    wall_seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -212,7 +208,6 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
             f"strict coverage needs at least {len(dist.support)} rows, "
             f"got {cfg.total_generated}"
         )
-    started = time.perf_counter()
     counts = allocate_counts(dist, cfg.total_generated, mode=cfg.allocation_mode,
                              seed=seed, min_one_per_support=cfg.strict_coverage)
     if isinstance(generator, UncondVaePack):
@@ -228,7 +223,6 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
         method="loco", label_mode=cfg.label_mode,
         class_counts=[int(c) for c in counts], rows_used=int(counts.sum()),
         epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
-        wall_seconds=time.perf_counter() - started,
     )
     return adapted, report
 
@@ -271,7 +265,6 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
             raise LabelError(f"predicted labels shape {labels.shape} != ({n},)")
     else:
         labels = stored.labels
-    started = time.perf_counter()
     pick = derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
     feats, labs = stored.features[pick], labels[pick]
     adapted = _with_classifier_copy(mp)
@@ -283,7 +276,6 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
         method="baseline", label_mode=label_mode,
         class_counts=[int(c) for c in counts], rows_used=used,
         epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
-        wall_seconds=time.perf_counter() - started,
     )
     return adapted, report
 

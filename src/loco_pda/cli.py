@@ -83,13 +83,31 @@ class Context:
     def path(self, name: str) -> Path:
         return self.out / name
 
-    def require(self, name: str, producer: str) -> Path:
-        p = self.path(name)
-        if not p.exists():
-            raise MissingInputError(
-                f"{name} not found in {self.out}; run `loco-pda {producer}` first"
-            )
-        return p
+    def read(self, load, producer: str, *names: str):
+        """load(*paths) of the named input artifacts. Each must exist and, once
+        loaded (so a file that does not parse fails as malformed first), match
+        the checksum its producing manifest recorded. Artifacts no manifest
+        records are not checked."""
+        for name in names:
+            if not self.path(name).exists():
+                raise MissingInputError(
+                    f"{name} not found in {self.out}; run `loco-pda {producer}` first"
+                )
+        result = load(*map(self.path, names))
+        recorded: dict[str, str] = {}
+        for mpath in sorted(self.out.glob("manifest_*.json")):
+            recorded.update(_read_json(mpath).get("artifacts", {}))
+        for name in names:
+            want = recorded.get(name)
+            if want is None:
+                continue
+            got = _sha256(self.path(name))
+            if got != want:
+                raise ChecksumError(
+                    f"{name} does not match its manifest checksum "
+                    f"(recorded {want[:12]}…, file {got[:12]}…)"
+                )
+        return result
 
 
 def _sha256(path: Path) -> str:
@@ -98,6 +116,10 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -115,8 +137,8 @@ def _write_manifest(ctx: Context, command: str, artifacts: list[str]) -> None:
 
 
 def _load_dataset(ctx: Context) -> models.LabeledDataset:
-    train = formats.load_activations(ctx.require(DATA_TRAIN, "synth-data"))
-    val = formats.load_activations(ctx.require(DATA_VAL, "synth-data"))
+    train = ctx.read(formats.load_activations, "synth-data", DATA_TRAIN)
+    val = ctx.read(formats.load_activations, "synth-data", DATA_VAL)
     if train.labels is None or val.labels is None:
         raise FormatError("dataset files must carry labels")
     spec = ctx.cfg.dataset_spec(ctx.seed)
@@ -126,26 +148,22 @@ def _load_dataset(ctx: Context) -> models.LabeledDataset:
 
 
 def _load_m0(ctx: Context) -> models.MlpModel:
-    return formats.load_mlp(ctx.require(MODEL_M0, "train-source"))
+    return ctx.read(formats.load_mlp, "train-source", MODEL_M0)
 
 
 def _load_mp(ctx: Context) -> models.MlpModel:
-    return formats.load_mlp(ctx.require(MODEL_MP, "prune"))
+    return ctx.read(formats.load_mlp, "prune", MODEL_MP)
 
 
 def _load_cvae(ctx: Context) -> cvae.CvaeModel:
-    enc = ctx.require(CVAE_ENC, "train-cvae")
-    dec = ctx.require(CVAE_DEC, "train-cvae")
-    return formats.load_cvae(enc, dec)
+    return ctx.read(formats.load_cvae, "train-cvae", CVAE_ENC, CVAE_DEC)
 
 
 def _load_pack(ctx: Context) -> cvae.UncondVaePack:
-    vaes = []
-    for c in range(ctx.cfg.classes):
-        enc = ctx.require(uncond_enc_name(c), "train-uncond")
-        dec = ctx.require(uncond_dec_name(c), "train-uncond")
-        vaes.append(formats.load_cvae(enc, dec))
-    return cvae.UncondVaePack(vaes)
+    return cvae.UncondVaePack([
+        ctx.read(formats.load_cvae, "train-uncond", uncond_enc_name(c), uncond_dec_name(c))
+        for c in range(ctx.cfg.classes)
+    ])
 
 
 def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch:
@@ -154,7 +172,7 @@ def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch
         if not p.exists():
             raise MissingInputError(f"stream file {p} does not exist")
         return formats.load_activations(p)
-    return formats.load_activations(ctx.require(TARGET_STREAM, "synth-data"))
+    return ctx.read(formats.load_activations, "synth-data", TARGET_STREAM)
 
 
 def _val_subset(ctx: Context):
@@ -221,7 +239,7 @@ def cmd_dump_activations(ctx: Context, args) -> list[str]:
 
 
 def cmd_train_cvae(ctx: Context, args) -> list[str]:
-    batch = formats.load_activations(ctx.require(ACTS_TRAIN, "dump-activations"))
+    batch = ctx.read(formats.load_activations, "dump-activations", ACTS_TRAIN)
     model, log = cvae.train_cvae(
         batch, ctx.cfg.classes, hyper=ctx.cfg.cvae_hyper(), seed=ctx.seed,
         z_dim=ctx.cfg.cvae_z_dim, enc_widths=tuple(ctx.cfg.cvae_enc_widths),
@@ -236,7 +254,7 @@ def cmd_train_cvae(ctx: Context, args) -> list[str]:
 
 
 def cmd_train_uncond(ctx: Context, args) -> list[str]:
-    batch = formats.load_activations(ctx.require(ACTS_TRAIN, "dump-activations"))
+    batch = ctx.read(formats.load_activations, "dump-activations", ACTS_TRAIN)
     pack, logs = cvae.train_uncond_pack(
         batch, ctx.cfg.classes, hyper=ctx.cfg.cvae_hyper(), seed=ctx.seed,
         z_dim=ctx.cfg.uncond_z_dim, enc_widths=tuple(ctx.cfg.uncond_enc_widths),
@@ -267,8 +285,7 @@ def cmd_estimate_domain(ctx: Context, args) -> list[str]:
 
 
 def _load_domain(ctx: Context) -> ClassDistribution:
-    p = ctx.require(DOMAIN, "estimate-domain")
-    data = json.loads(p.read_text(encoding="utf-8"))
+    data = ctx.read(_read_json, "estimate-domain", DOMAIN)
     return ClassDistribution(np.asarray(data["probs"], dtype=np.float64))
 
 
@@ -310,27 +327,7 @@ def cmd_baseline(ctx: Context, args) -> list[str]:
     return [BASELINE_MODEL, BASELINE_REPORT]
 
 
-def _verify_checksums(ctx: Context, names: list[str]) -> None:
-    """Compare each named artifact against the checksum its producing
-    manifest recorded. Artifacts no manifest mentions are skipped."""
-    recorded: dict[str, str] = {}
-    for mpath in sorted(ctx.out.glob("manifest_*.json")):
-        data = json.loads(mpath.read_text(encoding="utf-8"))
-        recorded.update(data.get("artifacts", {}))
-    for name in names:
-        want = recorded.get(name)
-        if want is None:
-            continue
-        got = _sha256(ctx.path(name))
-        if got != want:
-            raise ChecksumError(
-                f"{name} does not match its manifest checksum "
-                f"(recorded {want[:12]}…, file {got[:12]}…)"
-            )
-
-
 def cmd_evaluate(ctx: Context, args) -> list[str]:
-    used = [MODEL_M0, MODEL_MP, DATA_VAL]
     m0 = _load_m0(ctx)
     mp = _load_mp(ctx)
     val = _val_subset(ctx)
@@ -339,12 +336,11 @@ def cmd_evaluate(ctx: Context, args) -> list[str]:
         "deployed": evaluation.top1_accuracy(m0, *val),
         "pruned_no_retrain": evaluation.top1_accuracy(mp, *val),
     }
-    for name, key in ((ADAPTED, "adapted"), (BASELINE_MODEL, "baseline")):
+    for name, key, producer in ((ADAPTED, "adapted", "adapt"),
+                                (BASELINE_MODEL, "baseline", "baseline")):
         if ctx.path(name).exists():
-            used.append(name)
-            results[key] = evaluation.top1_accuracy(formats.load_mlp(ctx.path(name)),
-                                                    *val)
-    _verify_checksums(ctx, used)
+            model = ctx.read(formats.load_mlp, producer, name)
+            results[key] = evaluation.top1_accuracy(model, *val)
     _write_json(ctx.path(EVALUATION), results)
     return [EVALUATION]
 

@@ -30,7 +30,7 @@ from .numerics import (
     set_stack_params,
     stack_backward,
     stack_forward,
-    stack_grads,
+    stack_pairs,
     stack_params,
     stage_key,
 )
@@ -172,14 +172,17 @@ class CvaeModel:
         return stack_forward(self.decoder, self._condition(z, onehot), keep)
 
     def loss_and_grads(self, acts: np.ndarray, onehot: np.ndarray,
-                       noise: np.ndarray, beta: float):
+                       noise: np.ndarray, beta: float, grads=None):
         """One full forward/backward pass.
 
-        Returns (loss, grads, recon_loss, kl). The latent path carries both the
-        reconstruction gradient (through z = mu + sigma * noise, so the
-        log-variance picks up 0.5 * sigma * noise) and beta times the KL
-        gradient.
+        Returns (loss, grads, recon_loss, kl), with the gradients written into
+        grads (keyed like named_params, e.g. FlatParams.grad_views) or into new
+        arrays. The latent path carries both the reconstruction gradient
+        (through z = mu + sigma * noise, so the log-variance picks up
+        0.5 * sigma * noise) and beta times the KL gradient.
         """
+        if grads is None:
+            grads = {name: np.empty_like(p) for name, p in self.named_params().items()}
         mu, logvar = self.encode(acts, onehot, keep=True)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * noise
@@ -187,13 +190,14 @@ class CvaeModel:
         recon_loss, grad_recon = mse_loss(recon, acts)
         kl, gmu_kl, glv_kl = kl_diag_gauss(mu, logvar)
         loss = recon_loss + beta * kl
-        grad_dec_in, dec_grads = stack_backward(self.decoder, grad_recon)
+        grad_dec_in, _ = stack_backward(self.decoder, grad_recon,
+                                        out=stack_pairs(grads, len(self.decoder), "dec"))
         grad_z = grad_dec_in[:, : self.z_dim]
         grad_mu = grad_z + beta * gmu_kl
         grad_logvar = grad_z * (0.5 * sigma * noise) + beta * glv_kl
         grad_enc_out = np.concatenate([grad_mu, grad_logvar], axis=1)
-        _, enc_grads = stack_backward(self.encoder, grad_enc_out, need_input_grad=False)
-        grads = stack_grads(enc_grads, prefix="enc") | stack_grads(dec_grads, prefix="dec")
+        stack_backward(self.encoder, grad_enc_out, need_input_grad=False,
+                       out=stack_pairs(grads, len(self.encoder), "enc"))
         return loss, grads, recon_loss, kl
 
 
@@ -247,14 +251,14 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
             idx = perm[start: start + hyper.batch_size]
             bx, bo = feats[idx], onehot_all[idx]
             noise = noise_rng.standard_normal((len(idx), model.z_dim)).astype(F32)
-            loss, grads, recon, kl = model.loss_and_grads(bx, bo, noise, beta)
+            loss, _, recon, kl = model.loss_and_grads(bx, bo, noise, beta, flat.grad_views)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last finite snapshot is "
                     f"from epoch {checkpoint_epoch}",
                     checkpoint=flat.unflatten(checkpoint), epoch=epoch,
                 )
-            flat.step(optimizer, grads, epoch)
+            flat.step(optimizer, epoch)
             loss_sum += loss * len(idx)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)

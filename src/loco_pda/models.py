@@ -7,6 +7,7 @@ the FE, gets a fresh classifier, and is briefly finetuned on the source data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,12 +25,12 @@ from .numerics import (
     check_finite,
     derive_rng,
     set_stack_params,
-    softmax_xent_loss,
+    softmax_xent,
     stack_backward,
     stack_forward,
-    stage_key,
-    stack_grads,
+    stack_pairs,
     stack_params,
+    stage_key,
 )
 
 
@@ -253,29 +254,35 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     no-op.
     """
     y = np.asarray(y)
+    n = x.shape[0]
+    if y.shape != (n,):
+        raise ShapeError(f"labels shape {y.shape} does not match {n} rows")
     if y.size and (y.min() < 0 or y.max() >= layers[-1].out_dim):
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
     flat = FlatParams(stack_params(layers))
     set_stack_params(layers, flat.views)
+    grads = stack_pairs(flat.grad_views, len(layers))
     rng = derive_rng(seed, stage_key("shuffle"))
+    pred = np.empty(n, dtype=np.intp)
     log = []
-    n = x.shape[0]
     for epoch in range(hyper.epochs):
         perm = rng.permutation(n)
-        losses, hits = [], 0
+        losses = []
         for start in range(0, n, hyper.batch_size):
-            idx = perm[start: start + hyper.batch_size]
-            bx, by = x[idx], y[idx]
-            logits = stack_forward(layers, bx, keep=optimizer is not None)
-            loss, grad = softmax_xent_loss(logits, by)
-            if not np.isfinite(loss):
+            end = start + hyper.batch_size
+            idx = perm[start:end]
+            by = y[idx]
+            logits = stack_forward(layers, x[idx], keep=optimizer is not None)
+            loss, grad = softmax_xent(logits, by)
+            if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}")
-            hits += int((np.argmax(logits, axis=1) == by).sum())
+            np.argmax(logits, axis=1, out=pred[start:end])
             losses.append(loss * len(by))
             if optimizer is not None:
-                _, per_layer = stack_backward(layers, grad, need_input_grad=False)
-                flat.step(optimizer, stack_grads(per_layer), epoch)
+                stack_backward(layers, grad, need_input_grad=False, out=grads)
+                flat.step(optimizer, epoch)
+        hits = int(np.count_nonzero(pred == y[perm]))
         val_acc = None
         if val is not None:
             val_logits = stack_forward(layers, val[0], keep=False)

@@ -57,12 +57,6 @@ def check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def one_hot(labels: np.ndarray, num_classes: int, dtype=F32) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
@@ -137,11 +131,12 @@ class DenseLayer:
             self._x, self._out = x, out
         return out
 
-    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True):
+    def backward(self, grad_out: np.ndarray, need_input_grad: bool = True, out=None):
         """Gradients of the cached forward, whose cache this call releases.
         Returns (grad_in, grad_w, grad_b); grad_in is None unless
-        need_input_grad."""
-        x, out = self._x, self._out
+        need_input_grad. out, a caller-owned (grad_w, grad_b) pair such as
+        views into a FlatParams gradient buffer, receives those two."""
+        x, y = self._x, self._out
         if x is None:
             raise StateError("backward called before forward")
         if grad_out.shape != (x.shape[0], self.out_dim):
@@ -151,10 +146,11 @@ class DenseLayer:
             )
         self._x = self._out = None
         if self.activation == Activation.RELU:
-            # out > 0 exactly where the pre-activation is; subgradient at 0 is 0
-            grad_out = grad_out * (out > 0)
-        grad_w = grad_out.T @ x
-        grad_b = grad_out.sum(axis=0)
+            # y > 0 exactly where the pre-activation is; subgradient at 0 is 0
+            grad_out = grad_out * (y > 0)
+        gw, gb = (None, None) if out is None else out
+        grad_w = np.matmul(grad_out.T, x, out=gw)
+        grad_b = grad_out.sum(axis=0, out=gb)
         grad_in = grad_out @ self.weight if need_input_grad else None
         return grad_in, grad_w, grad_b
 
@@ -166,13 +162,15 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) ->
 
 
 def stack_backward(layers: list[DenseLayer], grad_out: np.ndarray,
-                   need_input_grad: bool = True):
+                   need_input_grad: bool = True, out=None):
     """Backprop through a layer stack. Returns (grad_in, [(grad_w, grad_b), ...]);
-    without need_input_grad, grad_in is None and layer 0 skips that product."""
+    without need_input_grad, grad_in is None and layer 0 skips that product.
+    out, a list of per-layer (grad_w, grad_b) pairs, receives the gradients."""
     per_layer = [None] * len(layers)
     grad = grad_out
     for i in reversed(range(len(layers))):
-        grad, gw, gb = layers[i].backward(grad, need_input_grad or i > 0)
+        grad, gw, gb = layers[i].backward(grad, need_input_grad or i > 0,
+                                          out=None if out is None else out[i])
         per_layer[i] = (gw, gb)
     return grad, per_layer
 
@@ -185,17 +183,16 @@ def stack_params(layers: list[DenseLayer], prefix: str = "layer") -> dict[str, n
     return out
 
 
-def stack_grads(per_layer, prefix: str = "layer") -> dict[str, np.ndarray]:
-    """stack_backward's per-layer gradients, keyed like stack_params."""
-    return {f"{prefix}{i}.{k}": g
-            for i, pair in enumerate(per_layer) for k, g in zip("wb", pair)}
+def stack_pairs(named: dict[str, np.ndarray], count: int,
+                prefix: str = "layer") -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (w, b) pairs of count layers, from a dict keyed like stack_params."""
+    return [(named[f"{prefix}{i}.w"], named[f"{prefix}{i}.b"]) for i in range(count)]
 
 
 def set_stack_params(layers: list[DenseLayer], params: dict[str, np.ndarray],
                      prefix: str = "layer") -> None:
-    for i, layer in enumerate(layers):
-        layer.weight = params[f"{prefix}{i}.w"]
-        layer.bias = params[f"{prefix}{i}.b"]
+    for layer, (w, b) in zip(layers, stack_pairs(params, len(layers), prefix)):
+        layer.weight, layer.bias = w, b
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +211,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_xent_loss(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-softmax of the true class. Returns (loss, grad_logits)."""
     labels = np.asarray(labels)
@@ -228,13 +219,23 @@ def softmax_xent_loss(logits: np.ndarray, labels: np.ndarray):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise LabelError(f"label out of range [0, {num_classes})")
+    return softmax_xent(logits, labels)
+
+
+def softmax_xent(logits: np.ndarray, labels: np.ndarray):
+    """softmax_xent_loss on labels already checked: one exp and one row sum
+    serve both the loss and the gradient."""
+    batch = logits.shape[0]
+    rows = np.arange(batch)
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(np.mean(log_z - shifted[np.arange(batch), labels]))
-    grad = softmax(logits)
-    grad[np.arange(batch), labels] -= 1
-    grad /= batch
-    return loss, grad
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    # a float sum / batch rounds like np.mean, which divides in float64
+    loss = float((np.log(z[:, 0]) - shifted[rows, labels]).sum() / batch)
+    e /= z  # the softmax, turned in place into the gradient
+    e[rows, labels] -= 1
+    e /= batch
+    return loss, e
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ class FlatParams:
         self.value = np.concatenate([p.reshape(-1) for p in params.values()])
         self.grad = np.empty_like(self.value)
         self.views = self.unflatten(self.value)
-        self._grad_views = self.unflatten(self.grad)
+        self.grad_views = self.unflatten(self.grad)
 
     def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Per-name views of a vector laid out like value, e.g. a copy of it."""
@@ -282,13 +283,12 @@ class FlatParams:
             start = end
         return out
 
-    def step(self, optimizer: "_Optimizer", grads: dict[str, np.ndarray], epoch: int) -> None:
-        for name, grad in grads.items():
-            self._grad_views[name][...] = grad
+    def step(self, optimizer: "_Optimizer", epoch: int) -> None:
+        """Step value by grad, which the caller filled through grad_views."""
         try:
             optimizer.step({"flat": self.value}, {"flat": self.grad}, epoch)
         except NumericError:  # the optimizer saw a non-finite gradient; name it
-            bad = [name for name, g in self._grad_views.items() if not np.all(np.isfinite(g))]
+            bad = [name for name, g in self.grad_views.items() if not np.all(np.isfinite(g))]
             raise NumericError(f"non-finite gradient for parameter '{bad[0]}'") from None
 
 
@@ -311,7 +311,7 @@ class _Optimizer:
                     f"gradient shape {grad.shape} does not match parameter "
                     f"'{name}' {params[name].shape}"
                 )
-            if not np.all(np.isfinite(grad)):
+            if not np.isfinite(grad).all():
                 raise NumericError(f"non-finite gradient for parameter '{name}'")
 
     def _buffers(self, name: str, param: np.ndarray, zeroed: int, scratch: int):

@@ -156,6 +156,18 @@ def test_checksum_refusal_exit_code(tiny):
     assert run(cfg, out, "evaluate") == cli.EXIT_CHECKSUM
 
 
+def test_tampered_input_is_refused_by_any_reader(tiny):
+    """Every command checks the artifacts it reads, not only evaluate."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",)]:
+        assert run(cfg, out, *argv) == 0
+    data = bytearray((out / cli.MODEL_M0).read_bytes())
+    data[40] ^= 0x01  # still parses: without the check prune exits 0
+    (out / cli.MODEL_M0).write_bytes(bytes(data))
+    assert run(cfg, out, "prune") == cli.EXIT_CHECKSUM
+    assert not (out / cli.MODEL_MP).exists()
+
+
 def test_numeric_divergence_exit_code(tiny, tmp_path):
     cfg, out = tiny
     hot = tmp_path / "hot.ini"

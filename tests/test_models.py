@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from loco_pda.errors import LabelError, ShapeError
+from loco_pda.errors import LabelError, NumericError, ShapeError
 from loco_pda.models import (
     DatasetSpec,
+    EpochStats,
     Role,
     TrainHyper,
     build_mlp,
@@ -19,7 +20,18 @@ from loco_pda.models import (
     train_softmax_stack,
     train_source_model,
 )
-from loco_pda.numerics import make_rng
+from loco_pda.numerics import (
+    Adam,
+    DenseLayer,
+    LrSchedule,
+    SgdMomentum,
+    derive_rng,
+    make_rng,
+    stack_backward,
+    stack_forward,
+    stack_params,
+    stage_key,
+)
 
 
 SMALL = DatasetSpec(num_classes=4, input_dim=8, train_per_class=50,
@@ -113,6 +125,82 @@ def test_train_rejects_out_of_range_labels():
     with pytest.raises(LabelError):
         train_softmax_stack(model.layers, ds.train_x, bad,
                             TrainHyper(epochs=1, batch_size=32, lr=1e-3), seed=0)
+
+
+def _textbook_train(layers, x, y, hyper, seed, val):
+    """train_softmax_stack written plainly: a fancy-indexed batch, the loss and
+    the softmax each from their own shift and exp, a full stack_backward and
+    an optimizer step per parameter name."""
+    sched = LrSchedule(hyper.lr, hyper.lr_step_epochs, hyper.lr_gamma)
+    opt = Adam(sched) if hyper.optimizer == "adam" else SgdMomentum(sched, hyper.momentum)
+    params = stack_params(layers)
+    rng = derive_rng(seed, stage_key("shuffle"))
+    n = x.shape[0]
+    log = []
+    for epoch in range(hyper.epochs):
+        perm = rng.permutation(n)
+        losses, hits = [], 0
+        for start in range(0, n, hyper.batch_size):
+            idx = perm[start: start + hyper.batch_size]
+            bx, by = x[idx], y[idx]
+            logits = stack_forward(layers, bx)
+            rows = np.arange(len(by))
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_z = np.log(np.exp(shifted).sum(axis=1))
+            loss = float(np.mean(log_z - shifted[rows, by]))
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            grad = e / e.sum(axis=1, keepdims=True)
+            grad[rows, by] -= 1
+            grad /= len(by)
+            hits += int((np.argmax(logits, axis=1) == by).sum())
+            losses.append(loss * len(by))
+            _, per_layer = stack_backward(layers, grad)
+            grads = {}
+            for i, (gw, gb) in enumerate(per_layer):
+                grads[f"layer{i}.w"], grads[f"layer{i}.b"] = gw, gb
+            opt.step(params, grads, epoch)
+        val_logits = stack_forward(layers, val[0], keep=False)
+        val_acc = float((np.argmax(val_logits, axis=1) == val[1]).mean())
+        log.append(EpochStats(epoch, sum(losses) / n, hits / n, val_acc))
+    return log
+
+
+def _copies(layers):
+    return [DenseLayer(l.weight.copy(), l.bias.copy(), l.activation) for l in layers]
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_softmax_stack_is_bitwise_textbook(optimizer, depth):
+    ds = synth_dataset(SMALL)   # 200 rows: the last batch of 30 holds 20
+    hyper = TrainHyper(epochs=4, batch_size=30, lr=1e-2, lr_step_epochs=2,
+                       lr_gamma=0.5, optimizer=optimizer)
+    model = build_mlp(make_rng(3), 8, (6, 5), 4, Role.DEPLOYED)
+    if depth == 3:
+        layers, x, vx = model.layers, ds.train_x, ds.val_x
+    else:  # the classifier alone, on the extractor's features
+        layers, x, vx = [model.fc_layer], model.features(ds.train_x), model.features(ds.val_x)
+    got_layers, want_layers = _copies(layers), _copies(layers)
+    got = train_softmax_stack(got_layers, x, ds.train_y, hyper, seed=2, val=(vx, ds.val_y))
+    want = _textbook_train(want_layers, x, ds.train_y, hyper, seed=2, val=(vx, ds.val_y))
+    assert got == want
+    for a, b, before in zip(got_layers, want_layers, layers):
+        assert a.weight.tobytes() == b.weight.tobytes() != before.weight.tobytes()
+        assert a.bias.tobytes() == b.bias.tobytes()
+
+
+def test_train_names_epoch_and_batch_of_an_inf_row():
+    ds = synth_dataset(SMALL)
+    x = ds.train_x.copy()
+    x[57, 3] = np.inf
+    # the row's place in epoch 0's shuffle gives its batch
+    perm = derive_rng(4, stage_key("shuffle")).permutation(len(x))
+    batch = int(np.flatnonzero(perm == 57)[0]) // 32
+    model = build_mlp(make_rng(0), 8, (6, 5), 4, Role.DEPLOYED)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericError, match=f"epoch 0, batch {batch}$"):
+            train_softmax_stack(model.layers, x, ds.train_y,
+                                TrainHyper(epochs=2, batch_size=32, lr=1e-3), seed=4)
 
 
 def test_training_is_deterministic_per_seed():

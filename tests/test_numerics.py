@@ -1,5 +1,6 @@
-"""Layer math against independent oracles: triple-loop matmul, hand-worked
-forward/optimizer steps, and central-difference gradients."""
+"""Layer math against independent oracles: hand-worked forward/optimizer
+steps, textbook formulas matched bit for bit, and central-difference
+gradients."""
 
 from __future__ import annotations
 
@@ -22,37 +23,12 @@ from loco_pda.numerics import (
     derive_rng,
     gradcheck,
     make_rng,
-    matmul,
     mse_loss,
     one_hot,
-    softmax,
     softmax_xent_loss,
     stack_backward,
     stack_forward,
 )
-
-
-def _loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += float(a[i, k]) * float(b[k, j])
-    return out
-
-
-def test_matmul_matches_triple_loop(rng):
-    a = rng.standard_normal((7, 5)).astype(np.float32)
-    b = rng.standard_normal((5, 3)).astype(np.float32)
-    got = matmul(a, b)
-    want = _loop_matmul(a, b)
-    assert got.shape == (7, 3)
-    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_one_hot_rows():
@@ -114,10 +90,42 @@ def test_softmax_xent_uniform_logits():
     np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
 
 
-def test_softmax_rows_normalize(rng):
-    p = softmax(rng.standard_normal((6, 5)) * 10)
-    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=1e-6)
-    assert (p >= 0).all()
+def _two_pass_softmax_xent(logits, labels):
+    """The loss and the softmax each computed from their own shift and exp."""
+    batch = logits.shape[0]
+    rows = np.arange(batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(np.mean(log_z - shifted[rows, labels]))
+    shifted2 = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted2)
+    grad = e / e.sum(axis=1, keepdims=True)
+    grad[rows, labels] -= 1
+    grad /= batch
+    return loss, grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fused_softmax_xent_is_bitwise_two_pass(dtype):
+    rng = make_rng(11)
+    for batch, classes in [(1, 2), (7, 5), (64, 20), (37, 20), (128, 3)]:
+        logits = (4.0 * rng.standard_normal((batch, classes))).astype(dtype)
+        labels = rng.integers(0, classes, size=batch)
+        loss, grad = softmax_xent_loss(logits, labels)
+        want_loss, want_grad = _two_pass_softmax_xent(logits, labels)
+        assert loss == want_loss
+        assert _bits_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sum_over_batch_rounds_like_mean(dtype):
+    """The loss divides its sum by the batch size instead of calling np.mean,
+    which divides in float64 and rounds back; both give the same bits."""
+    rng = make_rng(12)
+    for batch in list(range(1, 130)) + [1000, 3000]:
+        for scale in (1e-3, 1.0, 3e2):
+            v = (scale * rng.random(batch)).astype(dtype)
+            assert float(v.sum() / batch) == float(np.mean(v))
 
 
 def test_softmax_xent_label_range():
@@ -340,7 +348,9 @@ def test_flat_params_step_matches_per_name_step():
     flat = FlatParams(params)
     opt = Adam(LrSchedule(1e-2))
     for g in grads:
-        flat.step(opt, g, epoch=0)
+        for name, view in flat.grad_views.items():
+            view[...] = g[name]
+        flat.step(opt, epoch=0)
     for name in params:
         assert _bits_equal(flat.views[name], per_name[name])
         np.testing.assert_array_equal(flat.views[name],
@@ -351,10 +361,10 @@ def test_flat_params_names_the_nonfinite_parameter():
     params = {"a.w": np.zeros((2, 2), dtype=np.float32),
               "a.b": np.zeros(2, dtype=np.float32)}
     flat = FlatParams(params)
-    bad = {"a.w": np.zeros((2, 2), dtype=np.float32),
-           "a.b": np.array([0.0, np.inf], dtype=np.float32)}
+    flat.grad_views["a.w"][...] = 0
+    flat.grad_views["a.b"][...] = [0.0, np.inf]
     with pytest.raises(NumericError, match="'a.b'"):
-        flat.step(SgdMomentum(LrSchedule(0.1)), bad, epoch=0)
+        flat.step(SgdMomentum(LrSchedule(0.1)), epoch=0)
 
 
 # --- skipped input gradients ---
@@ -374,6 +384,22 @@ def test_backward_without_input_grad(activation, rng):
     assert _bits_equal(grad_b, full[2])
 
 
+@pytest.mark.parametrize("activation", [Activation.IDENTITY, Activation.RELU])
+def test_backward_into_caller_views_writes_the_same_bits(activation, rng):
+    layer = DenseLayer.create(make_rng(8), 6, 5, activation)
+    x = rng.standard_normal((9, 6)).astype(np.float32)
+    grad_out = rng.standard_normal((9, 5)).astype(np.float32)
+    layer.forward(x)
+    want = layer.backward(grad_out)
+    flat = FlatParams({"w": layer.weight, "b": layer.bias})
+    views = (flat.grad_views["w"], flat.grad_views["b"])
+    layer.forward(x)
+    got = layer.backward(grad_out, out=views)
+    assert got[1] is views[0] and got[2] is views[1]
+    for g, w in zip(got, want):
+        assert _bits_equal(g, w)
+
+
 def test_stack_backward_skips_only_the_first_input_grad(rng):
     layers = [DenseLayer.create(make_rng(i), d_in, d_out, act)
               for i, (d_in, d_out, act) in enumerate(
@@ -385,9 +411,9 @@ def test_stack_backward_skips_only_the_first_input_grad(rng):
     full_in, full = stack_backward(layers, grad_out)
     asked = []
     for i, layer in enumerate(layers):
-        def spy(grad, need_input_grad=True, i=i, inner=layer.backward):
+        def spy(grad, need_input_grad=True, out=None, i=i, inner=layer.backward):
             asked.append((i, need_input_grad))
-            return inner(grad, need_input_grad)
+            return inner(grad, need_input_grad, out)
         layer.backward = spy
     stack_forward(layers, x)
     grad_in, per_layer = stack_backward(layers, grad_out, need_input_grad=False)
