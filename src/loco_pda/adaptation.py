@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -88,23 +89,17 @@ def estimate_domain(m0: MlpModel, observed) -> ClassDistribution:
     return ClassDistribution(counts / total)
 
 
-def allocate_counts(dist: ClassDistribution, total: int, mode: str = "hamilton",
-                    seed: int = 0, min_one_per_support: bool = False) -> np.ndarray:
+def allocate_counts(dist: ClassDistribution, total: int) -> np.ndarray:
     """Apportion `total` rows across classes in proportion to dist.
 
-    Default is deterministic largest-remainder rounding: floor(total * p) per
-    class, then one extra each to the largest remainders (ties to the lowest
-    class index) until the counts sum to total. Zero-probability classes never
-    receive a row. mode="multinomial" samples instead.
+    Deterministic largest-remainder rounding: floor(total * p) per class, then
+    one extra each to the largest remainders (ties to the lowest class index)
+    until the counts sum to total. Zero-probability classes never receive a
+    row.
     """
     if total < 1:
         raise ValueError("total must be >= 1")
     probs = dist.probs
-    if mode == "multinomial":
-        rng = derive_rng(seed, stage_key("allocate"))
-        return rng.multinomial(total, probs / probs.sum())
-    if mode != "hamilton":
-        raise ValueError(f"unknown allocation mode '{mode}'")
     exact = total * probs
     counts = np.floor(exact).astype(np.int64)
     remainder = exact - counts
@@ -114,12 +109,6 @@ def allocate_counts(dist: ClassDistribution, total: int, mode: str = "hamilton",
     order = eligible[np.lexsort((eligible, -remainder[eligible]))]
     for c in order[:leftover]:
         counts[c] += 1
-    if min_one_per_support:
-        starved = [c for c in eligible if counts[c] == 0]
-        for c in starved:
-            donor = int(np.argmax(counts))
-            counts[donor] -= 1
-            counts[c] += 1
     return counts
 
 
@@ -137,8 +126,6 @@ class AdaptationConfig:
     total_generated: int = DEFAULT_R
     hyper: TrainHyper = field(default_factory=lambda: replace(DEFAULT_ADAPT_HYPER))
     label_mode: LabelMode = LabelMode.GROUND_TRUTH
-    strict_coverage: bool = False
-    allocation_mode: str = "hamilton"
 
     def __post_init__(self):
         if self.total_generated < 1:
@@ -178,12 +165,13 @@ def _with_classifier_copy(mp: MlpModel) -> MlpModel:
     return MlpModel(mp.fe_layers + [fc_copy], mp.feature_boundary, replace(mp.meta))
 
 
-def _subset_accuracy(model: MlpModel, val) -> float | None:
-    """Top-1 over the full class head on (inputs, labels), or None without data."""
-    if val is None:
-        return None
-    x, y = val
-    return float((model.predict(x) == np.asarray(y)).mean())
+def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of samples whose argmax logit, over the full class head,
+    equals the label."""
+    y = np.asarray(y)
+    if y.shape[0] == 0:
+        raise ValueError("no samples to score")
+    return float((model.predict(x) == y).mean())
 
 
 def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
@@ -203,22 +191,16 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
             f"generator covers [{gen_classes} classes x {a_dim} dims], model expects "
             f"[{mp.meta.num_classes} x {mp.meta.activation_dim}]"
         )
-    if cfg.strict_coverage and cfg.total_generated < len(dist.support):
-        raise ConfigError(
-            f"strict coverage needs at least {len(dist.support)} rows, "
-            f"got {cfg.total_generated}"
-        )
-    counts = allocate_counts(dist, cfg.total_generated, mode=cfg.allocation_mode,
-                             seed=seed, min_one_per_support=cfg.strict_coverage)
+    adapted = _with_classifier_copy(mp)
+    pre = None if val is None else top1_accuracy(adapted, *val)
+    counts = allocate_counts(dist, cfg.total_generated)
     if isinstance(generator, UncondVaePack):
         pool = generate_uncond(generator, counts, seed=seed)
     else:
         pool = generate_activations(generator, counts, seed=seed)
-    adapted = _with_classifier_copy(mp)
-    pre = _subset_accuracy(adapted, val)
     log = train_softmax_stack([adapted.fc_layer], pool.features, pool.labels,
                               cfg.hyper, seed=seed)
-    post = _subset_accuracy(adapted, val)
+    post = None if val is None else top1_accuracy(adapted, *val)
     report = AdaptationReport(
         method="loco", label_mode=cfg.label_mode,
         class_counts=[int(c) for c in counts], rows_used=int(counts.sum()),
@@ -268,9 +250,9 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
     pick = derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
     feats, labs = stored.features[pick], labels[pick]
     adapted = _with_classifier_copy(mp)
-    pre = _subset_accuracy(adapted, val)
+    pre = None if val is None else top1_accuracy(adapted, *val)
     log = train_softmax_stack([adapted.fc_layer], feats, labs, hyper, seed=seed)
-    post = _subset_accuracy(adapted, val)
+    post = None if val is None else top1_accuracy(adapted, *val)
     counts = np.bincount(labs, minlength=mp.meta.num_classes)
     report = AdaptationReport(
         method="baseline", label_mode=label_mode,
@@ -285,10 +267,27 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
 # ---------------------------------------------------------------------------
 
 
+def class_rows(x: np.ndarray, y: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (x, y) whose label is one of classes."""
+    mask = np.isin(y, classes)
+    return x[mask], y[mask]
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass
 class Scenario:
     """Everything one adaptation experiment needs: source data, both models,
-    the trained generator, and which classes the target stream contains."""
+    the trained generator, and which classes the target stream contains.
+
+    target_stream (the train split's rows of those classes) and target_val
+    (the val split's) are (inputs, labels) pairs. They and the values derived
+    from the stream are computed once and shared: their arrays are read-only.
+    """
 
     dataset: LabeledDataset
     m0: MlpModel
@@ -298,22 +297,35 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        s = self.dataset.spec.num_classes
-        if not self.target_classes:
+        ds, classes = self.dataset, self.target_classes
+        if not classes:
             raise ValueError("target_classes is empty")
-        if any(c < 0 or c >= s for c in self.target_classes):
-            raise LabelError(f"target class outside [0, {s})")
+        if any(c < 0 or c >= ds.spec.num_classes for c in classes):
+            raise LabelError(f"target class outside [0, {ds.spec.num_classes})")
+        if len(set(classes)) != len(classes):
+            raise ValueError(f"target_classes {classes} has duplicates")
+        self.target_stream = _read_only(*class_rows(ds.train_x, ds.train_y, classes))
+        self.target_val = _read_only(*class_rows(ds.val_x, ds.val_y, classes))
 
-    def _filter(self, x, y):
-        mask = np.isin(y, self.target_classes)
-        return x[mask], y[mask]
+    @cached_property
+    def stored(self) -> ActivationBatch:
+        """The stream's pruned-model activations, with the stream's labels."""
+        x, y = self.target_stream
+        batch = extract_activations(self.mp, x, labels=y)
+        _read_only(batch.features, batch.labels)
+        return batch
 
-    def target_stream(self):
-        """Observed target-domain inputs and their true labels (train split)."""
-        return self._filter(self.dataset.train_x, self.dataset.train_y)
+    @cached_property
+    def predictions(self) -> np.ndarray:
+        """The deployed model's argmax label for each stream row."""
+        return _read_only(self.m0.predict(self.target_stream[0]))[0]
 
-    def target_val(self):
-        return self._filter(self.dataset.val_x, self.dataset.val_y)
+    @cached_property
+    def true_dist(self) -> ClassDistribution:
+        dist = ClassDistribution.from_labels(self.target_stream[1],
+                                             self.dataset.spec.num_classes)
+        _read_only(dist.probs)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -386,23 +398,21 @@ def label_noise_experiment(scenario: Scenario,
     only difference is the labels."""
     cfg = cfg or AdaptationConfig()
     s = scenario.dataset.spec.num_classes
-    stream_x, stream_y = scenario.target_stream()
-    val = scenario.target_val()
+    val = scenario.target_val
     if isinstance(noise, SyntheticFlip):
-        noisy_y = flip_labels(stream_y, noise.rate, s, scenario.seed)
+        noisy_y = flip_labels(scenario.target_stream[1], noise.rate, s, scenario.seed)
         kind = f"synthetic-flip-{noise.rate}"
     else:
-        noisy_y = scenario.m0.predict(stream_x)
+        noisy_y = scenario.predictions
         kind = "model-predictions"
-    certain_dist = ClassDistribution.from_labels(stream_y, s)
     noisy_dist = ClassDistribution.from_labels(noisy_y, s)
     certain_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
     noisy_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-    _, loco_cert = adapt_classifier(scenario.mp, scenario.cvae, certain_dist,
+    _, loco_cert = adapt_classifier(scenario.mp, scenario.cvae, scenario.true_dist,
                                     certain_cfg, seed=scenario.seed, val=val)
     _, loco_noisy = adapt_classifier(scenario.mp, scenario.cvae, noisy_dist,
                                      noisy_cfg, seed=scenario.seed, val=val)
-    stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
+    stored = scenario.stored
     _, base_cert = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
                                     hyper=baseline_hyper, seed=scenario.seed, val=val)
     _, base_noisy = retrain_baseline(scenario.mp, stored, LabelMode.ESTIMATED,

@@ -177,8 +177,7 @@ def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch
 
 def _val_subset(ctx: Context):
     ds = _load_dataset(ctx)
-    mask = np.isin(ds.val_y, ctx.cfg.target_classes)
-    return ds.val_x[mask], ds.val_y[mask]
+    return adaptation.class_rows(ds.val_x, ds.val_y, ctx.cfg.target_classes)
 
 
 def _scenario(ctx: Context, seed: int | None = None) -> Scenario:
@@ -200,10 +199,8 @@ def cmd_synth_data(ctx: Context, args) -> list[str]:
                              models.ActivationBatch(ds.train_x, labels=ds.train_y))
     formats.save_activations(ctx.path(DATA_VAL),
                              models.ActivationBatch(ds.val_x, labels=ds.val_y))
-    mask = np.isin(ds.train_y, ctx.cfg.target_classes)
-    formats.save_activations(ctx.path(TARGET_STREAM),
-                             models.ActivationBatch(ds.train_x[mask],
-                                                    labels=ds.train_y[mask]))
+    x, y = adaptation.class_rows(ds.train_x, ds.train_y, ctx.cfg.target_classes)
+    formats.save_activations(ctx.path(TARGET_STREAM), models.ActivationBatch(x, labels=y))
     return [DATA_TRAIN, DATA_VAL, TARGET_STREAM]
 
 

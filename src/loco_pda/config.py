@@ -142,16 +142,12 @@ class PipelineConfig:
             bad("latent sizes must be >= 1")
         if self.adapt_r < 1:
             bad("adapt.r must be >= 1")
-        if not self.target_classes:
-            bad("scenario.target_classes is empty")
-        if any(c < 0 or c >= self.classes for c in self.target_classes):
-            bad(f"scenario.target_classes entries must lie in [0, {self.classes})")
-        if len(set(self.target_classes)) != len(self.target_classes):
-            bad("scenario.target_classes has duplicates")
-        for subset in self.extra_subsets:
+        for key, subset in [("target_classes", self.target_classes),
+                            *(("extra_subsets", s) for s in self.extra_subsets)]:
             if not subset or any(c < 0 or c >= self.classes for c in subset):
-                bad("scenario.extra_subsets entries must be nonempty and "
-                    f"lie in [0, {self.classes})")
+                bad(f"scenario.{key} must be nonempty and lie in [0, {self.classes})")
+            if len(set(subset)) != len(subset):
+                bad(f"scenario.{key} has duplicates")
         if not self.seeds:
             bad("scenario.seeds is empty")
         if not self.sweep_budgets:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, LabelError, ShapeError
-from .models import ActivationBatch, Provenance
+from .models import ActivationBatch
 from .numerics import (
     F32,
     Activation,
@@ -338,7 +338,7 @@ def generate_activations(model: CvaeModel, counts: np.ndarray, seed: int = 0) ->
     rng = derive_rng(seed, stage_key("generate"))
     z = rng.standard_normal((labels.shape[0], model.z_dim)).astype(F32)
     feats = model.decode(z, one_hot(labels, model.num_classes))
-    return ActivationBatch(feats, labels=labels, provenance=Provenance.GENERATED)
+    return ActivationBatch(feats, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +355,10 @@ class UncondVaePack:
     @property
     def num_classes(self) -> int:
         return len(self.vaes)
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        return {f"vae{c}.{name}": p for c, vae in enumerate(self.vaes)
+                for name, p in vae.named_params().items()}
 
 
 def train_uncond_pack(batch: ActivationBatch, num_classes: int,
@@ -403,4 +407,4 @@ def generate_uncond(pack: UncondVaePack, counts: np.ndarray, seed: int = 0) -> A
     a_dim = pack.vaes[0].a_dim
     feats = np.concatenate(parts) if parts else np.zeros((0, a_dim), dtype=F32)
     lab = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
-    return ActivationBatch(feats, labels=lab, provenance=Provenance.GENERATED)
+    return ActivationBatch(feats, labels=lab)

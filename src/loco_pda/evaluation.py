@@ -1,6 +1,6 @@
-"""Experiment surface: accuracy metric, exact memory ledgers, the storage
-budget sweep, the conditional-vs-unconditional comparison, and the experiment
-matrix that drives the end-to-end run.
+"""Experiment surface: exact memory ledgers, the storage budget sweep, the
+conditional-vs-unconditional comparison, and the experiment matrix that
+drives the end-to-end run.
 
 Every byte count here is integer arithmetic over shapes. Nothing is measured
 or estimated at runtime; the runtime-memory model is a documented closed form.
@@ -20,35 +20,13 @@ from .adaptation import (
     LabelMode,
     Scenario,
     adapt_classifier,
-    estimate_domain,
     retrain_baseline,
     stored_row_bytes,
+    top1_accuracy,
 )
 from .cvae import CvaeModel, UncondVaePack
 from .errors import LocoError
-from .models import (
-    MlpModel,
-    TrainHyper,
-    extract_activations,
-    model_memory_bytes,
-)
-
-
-def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray,
-                  class_subset=None) -> float:
-    """Fraction of samples whose argmax logit equals the label.
-
-    class_subset filters which samples count; the argmax always runs over the
-    full label head, so the model must still discriminate against classes
-    outside the subset.
-    """
-    y = np.asarray(y)
-    if class_subset is not None:
-        mask = np.isin(y, np.asarray(list(class_subset)))
-        x, y = x[mask], y[mask]
-    if y.shape[0] == 0:
-        raise ValueError("no samples in the requested class subset")
-    return float((model.predict(x) == y).mean())
+from .models import MlpModel, TrainHyper, model_memory_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +224,12 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
     cfg = cfg or AdaptationConfig()
-    stream_x, stream_y = scenario.target_stream()
-    val = scenario.target_val()
-    stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
+    val, stored = scenario.target_val, scenario.stored
     row = stored_row_bytes(scenario.mp.meta.activation_dim)
     no_retrain = top1_accuracy(scenario.mp, *val)
-    dist = ClassDistribution.from_labels(stream_y, scenario.dataset.spec.num_classes)
     loco_accs = []
     for seed in seeds:
-        _, rep = adapt_classifier(scenario.mp, scenario.cvae, dist, cfg,
+        _, rep = adapt_classifier(scenario.mp, scenario.cvae, scenario.true_dist, cfg,
                                   seed=seed, val=val)
         loco_accs.append(rep.post_accuracy)
     loco_mean = float(np.mean(loco_accs))
@@ -316,9 +291,7 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
     """Same adaptation run with the conditional generator and the per-class
     pack; reports the accuracy gap and the exact memory ratio."""
     cfg = cfg or AdaptationConfig()
-    _, stream_y = scenario.target_stream()
-    val = scenario.target_val()
-    dist = ClassDistribution.from_labels(stream_y, scenario.dataset.spec.num_classes)
+    val, dist = scenario.target_val, scenario.true_dist
     cond_accs, uncond_accs = [], []
     for seed in seeds:
         _, rep_c = adapt_classifier(scenario.mp, scenario.cvae, dist, cfg,
@@ -380,28 +353,27 @@ class ExperimentMatrix:
 
 def _run_cell(scenario: Scenario, method: str, seed: int, cfg: AdaptationConfig,
               baseline_hyper: TrainHyper | None) -> AdaptationReport:
-    s = scenario.dataset.spec.num_classes
-    stream_x, stream_y = scenario.target_stream()
-    val = scenario.target_val()
+    val = scenario.target_val
     estimated = method.endswith("estimated")
     if method.startswith("loco"):
         if estimated:
-            dist = estimate_domain(scenario.m0, stream_x)
+            # the deployed model's argmax frequencies, as estimate_domain counts them
+            dist = ClassDistribution.from_labels(scenario.predictions,
+                                                 scenario.dataset.spec.num_classes)
             cell_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
         else:
-            dist = ClassDistribution.from_labels(stream_y, s)
+            dist = scenario.true_dist
             cell_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
         _, report = adapt_classifier(scenario.mp, scenario.cvae, dist, cell_cfg,
                                      seed=seed, val=val)
         return report
-    stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
     if estimated:
-        _, report = retrain_baseline(scenario.mp, stored, LabelMode.ESTIMATED,
+        _, report = retrain_baseline(scenario.mp, scenario.stored, LabelMode.ESTIMATED,
                                      hyper=baseline_hyper,
-                                     predicted_labels=scenario.m0.predict(stream_x),
+                                     predicted_labels=scenario.predictions,
                                      seed=seed, val=val)
     else:
-        _, report = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
+        _, report = retrain_baseline(scenario.mp, scenario.stored, LabelMode.GROUND_TRUTH,
                                      hyper=baseline_hyper, seed=seed, val=val)
     return report
 

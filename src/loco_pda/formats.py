@@ -24,13 +24,7 @@ import numpy as np
 
 from .cvae import CvaeModel
 from .errors import FormatError, TruncationError, UnsupportedVersionError
-from .models import (
-    ActivationBatch,
-    MlpModel,
-    ModelMeta,
-    Provenance,
-    Role,
-)
+from .models import ActivationBatch, MlpModel, ModelMeta
 from .numerics import Activation, DenseLayer
 
 ACTIVATION_MAGIC = b"LPAC"
@@ -124,8 +118,7 @@ def save_activations(path, batch: ActivationBatch) -> None:
         fh.write(activation_bytes(batch))
 
 
-def parse_activations(buf: bytes, path: str = "<bytes>",
-                      provenance: Provenance = Provenance.REAL) -> ActivationBatch:
+def parse_activations(buf: bytes, path: str = "<bytes>") -> ActivationBatch:
     cur = _Cursor(buf, path)
     _check_header(cur, ACTIVATION_MAGIC)
     rows, cols = cur.u32(), cur.u32()
@@ -137,12 +130,12 @@ def parse_activations(buf: bytes, path: str = "<bytes>",
     feats = cur.f32_array(rows * cols, "activation payload").reshape(rows, cols)
     labels = cur.u32_array(rows).astype(np.int64) if flag else None
     cur.expect_end()
-    return ActivationBatch(feats, labels=labels, provenance=provenance)
+    return ActivationBatch(feats, labels=labels)
 
 
-def load_activations(path, provenance: Provenance = Provenance.REAL) -> ActivationBatch:
+def load_activations(path) -> ActivationBatch:
     with open(path, "rb") as fh:
-        return parse_activations(fh.read(), str(path), provenance)
+        return parse_activations(fh.read(), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +246,7 @@ def load_mlp(path) -> MlpModel:
     kind, layers, meta = load_model_file(path)
     if kind != KIND_MLP:
         raise FormatError(f"{path}: expected an MLP model file, got kind {kind}")
-    role = Role.PRUNED if meta["prune_fraction"] > 0 else Role.DEPLOYED
-    mm = ModelMeta(role, meta["prune_fraction"], meta["classes"], meta["act_dim"])
+    mm = ModelMeta(meta["prune_fraction"], meta["classes"], meta["act_dim"])
     return MlpModel(layers, meta["feature_boundary"], mm)
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,23 +33,12 @@ from .numerics import (
 )
 
 
-class Role(Enum):
-    DEPLOYED = "deployed"
-    PRUNED = "pruned"
-
-
-class Provenance(Enum):
-    REAL = "real"
-    GENERATED = "generated"
-
-
 @dataclass
 class ActivationBatch:
     """Rows of feature-space activations, optionally labeled."""
 
     features: np.ndarray
     labels: np.ndarray | None = None
-    provenance: Provenance = Provenance.REAL
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -129,7 +117,6 @@ def synth_dataset(spec: DatasetSpec) -> LabeledDataset:
 
 @dataclass
 class ModelMeta:
-    role: Role
     prune_fraction: float
     num_classes: int
     activation_dim: int
@@ -189,26 +176,12 @@ def extract_activations(model: MlpModel, inputs: np.ndarray,
                         labels: np.ndarray | None = None) -> ActivationBatch:
     """Forward through the FE only."""
     feats = model.features(inputs)
-    return ActivationBatch(feats, labels=labels, provenance=Provenance.REAL)
+    return ActivationBatch(feats, labels=labels)
 
 
 def model_memory_bytes(model) -> int:
     """Exact f32 storage of every weight and bias: 4 bytes per parameter."""
-    return 4 * _param_count(model)
-
-
-def _param_count(model) -> int:
-    if isinstance(model, DenseLayer):
-        return model.weight.size + model.bias.size
-    if isinstance(model, (list, tuple)):
-        return sum(_param_count(m) for m in model)
-    if hasattr(model, "layers"):
-        return _param_count(model.layers)
-    if hasattr(model, "encoder") and hasattr(model, "decoder"):
-        return _param_count(model.encoder) + _param_count(model.decoder)
-    if hasattr(model, "vaes"):
-        return _param_count(list(model.vaes))
-    raise TypeError(f"cannot count parameters of {type(model).__name__}")
+    return 4 * sum(p.size for p in model.named_params().values())
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +269,14 @@ DEFAULT_SOURCE_HYPER = TrainHyper(epochs=15, batch_size=64, lr=1e-3)
 
 
 def build_mlp(rng: np.random.Generator, input_dim: int, feature_widths: tuple[int, ...],
-              num_classes: int, role: Role, prune_fraction: float = 0.0) -> MlpModel:
+              num_classes: int, prune_fraction: float = 0.0) -> MlpModel:
     layers = []
     in_dim = input_dim
     for width in feature_widths:
         layers.append(DenseLayer.create(rng, in_dim, width, Activation.RELU))
         in_dim = width
     layers.append(DenseLayer.create(rng, in_dim, num_classes, Activation.IDENTITY))
-    meta = ModelMeta(role, prune_fraction, num_classes, feature_widths[-1])
+    meta = ModelMeta(prune_fraction, num_classes, feature_widths[-1])
     return MlpModel(layers, len(layers) - 1, meta)
 
 
@@ -313,7 +286,7 @@ def train_source_model(dataset: LabeledDataset, feature_widths: tuple[int, ...] 
     """Train the deployed model on the full source dataset."""
     rng = derive_rng(seed, stage_key("source-init"))
     model = build_mlp(rng, dataset.spec.input_dim, tuple(feature_widths),
-                      dataset.spec.num_classes, Role.DEPLOYED)
+                      dataset.spec.num_classes)
     log = train_softmax_stack(model.layers, dataset.train_x, dataset.train_y, hyper,
                               seed=seed, val=(dataset.val_x, dataset.val_y))
     return model, log
@@ -361,7 +334,7 @@ def prune_model(m0: MlpModel, fraction: float, dataset: LabeledDataset,
         new_layers.append(DenseLayer(weight, bias, layer.activation))
     act_dim = new_layers[-1].out_dim
     fc = DenseLayer.create(rng, act_dim, m0.meta.num_classes, Activation.IDENTITY)
-    meta = ModelMeta(Role.PRUNED, fraction, m0.meta.num_classes, act_dim)
+    meta = ModelMeta(fraction, m0.meta.num_classes, act_dim)
     mp = MlpModel(new_layers + [fc], len(new_layers), meta)
     train_softmax_stack(mp.layers, dataset.train_x, dataset.train_y, finetune_hyper, seed=seed)
     return mp

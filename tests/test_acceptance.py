@@ -198,8 +198,8 @@ def test_criterion_05_adaptation_parity(pipeline_for):
     for seed in SEEDS:
         pipe = pipeline_for(seed)
         scenario = pipe.scenario()
-        stream_x, stream_y = scenario.target_stream()
-        val = scenario.target_val()
+        stream_x, stream_y = scenario.target_stream
+        val = scenario.target_val
         dist = ClassDistribution.from_labels(stream_y, pipe.dataset.spec.num_classes)
         _, adapted = adapt_classifier(scenario.mp, scenario.cvae, dist,
                                       AdaptationConfig(), seed=seed, val=val)
@@ -306,9 +306,9 @@ def test_criterion_09_budget_sweep(pipe0):
 
     unbounded = result.points[-1]
     assert unbounded.budget_bytes is None
-    stream_x, stream_y = scenario.target_stream()
+    stream_x, stream_y = scenario.target_stream
     stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
-    val = scenario.target_val()
+    val = scenario.target_val
     for seed, acc in zip(SEEDS, unbounded.per_seed):
         _, rep = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
                                   seed=seed, val=val)

@@ -59,6 +59,11 @@ def test_point_mass():
     np.testing.assert_array_equal(dist.support, [3])
 
 
+def test_scenario_rejects_duplicate_target_classes(pipe0):
+    with pytest.raises(ValueError, match="duplicates"):
+        pipe0.scenario((3, 3))
+
+
 # --- domain estimation ---
 
 
@@ -67,7 +72,7 @@ def test_estimate_domain_on_target_stream(pipe0):
     distribution must recover the stream's true support exactly and its
     frequencies closely."""
     scenario = pipe0.scenario()
-    stream_x, stream_y = scenario.target_stream()
+    stream_x, stream_y = scenario.target_stream
     dist = estimate_domain(pipe0.m0, stream_x)
     np.testing.assert_array_equal(dist.support, [0, 1, 2, 3, 4])
     true_probs = np.bincount(stream_y, minlength=20) / len(stream_y)
@@ -76,7 +81,7 @@ def test_estimate_domain_on_target_stream(pipe0):
 
 def test_estimate_domain_chunked_stream_equivalent(pipe0):
     scenario = pipe0.scenario()
-    stream_x, _ = scenario.target_stream()
+    stream_x, _ = scenario.target_stream
     whole = estimate_domain(pipe0.m0, stream_x)
     chunked = estimate_domain(pipe0.m0, [stream_x[:300], stream_x[300:]])
     np.testing.assert_array_equal(whole.probs, chunked.probs)
@@ -109,25 +114,10 @@ def test_allocate_is_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_allocate_min_one_per_support():
-    dist = ClassDistribution(np.array([0.98, 0.01, 0.01]))
-    counts = allocate_counts(dist, 10, min_one_per_support=True)
-    assert counts.sum() == 10
-    assert (counts[dist.support] >= 1).all()
-
-
-def test_allocate_multinomial_sums_to_total():
-    dist = ClassDistribution(np.array([0.6, 0.4]))
-    counts = allocate_counts(dist, 50, mode="multinomial", seed=3)
-    assert counts.sum() == 50
-
-
 def test_allocate_rejects_bad_arguments():
     dist = ClassDistribution(np.array([1.0]))
     with pytest.raises(ValueError):
         allocate_counts(dist, 0)
-    with pytest.raises(ValueError):
-        allocate_counts(dist, 5, mode="stochastic")
 
 
 def test_allocate_error_bound_spot_checks():
@@ -149,11 +139,11 @@ def test_allocate_error_bound_spot_checks():
 
 def test_adapt_leaves_feature_extractor_untouched(pipe0):
     scenario = pipe0.scenario()
-    _, stream_y = scenario.target_stream()
+    _, stream_y = scenario.target_stream
     dist = ClassDistribution.from_labels(stream_y, 20)
     before = [l.weight.copy() for l in pipe0.mp.layers]
     adapted, report = adapt_classifier(pipe0.mp, pipe0.generator, dist,
-                                       QUICK_ADAPT, seed=0, val=scenario.target_val())
+                                       QUICK_ADAPT, seed=0, val=scenario.target_val)
     # input model completely untouched, adapted FE bit-identical to it
     for layer, w in zip(pipe0.mp.layers, before):
         np.testing.assert_array_equal(layer.weight, w)
@@ -167,13 +157,13 @@ def test_adapt_leaves_feature_extractor_untouched(pipe0):
 
 def test_adapt_lr_zero_keeps_classifier_bit_identical(pipe0):
     scenario = pipe0.scenario()
-    _, stream_y = scenario.target_stream()
+    _, stream_y = scenario.target_stream
     dist = ClassDistribution.from_labels(stream_y, 20)
     cfg = AdaptationConfig(total_generated=100,
                            hyper=TrainHyper(epochs=2, batch_size=32, lr=0.0,
                                             optimizer="sgd"))
     adapted, report = adapt_classifier(pipe0.mp, pipe0.generator, dist, cfg,
-                                       seed=0, val=scenario.target_val())
+                                       seed=0, val=scenario.target_val)
     np.testing.assert_array_equal(adapted.fc_layer.weight, pipe0.mp.fc_layer.weight)
     np.testing.assert_array_equal(adapted.fc_layer.bias, pipe0.mp.fc_layer.bias)
     assert report.post_accuracy == report.pre_accuracy
@@ -189,17 +179,21 @@ def test_adapt_rejects_mismatched_generator(pipe0):
         adapt_classifier(pipe0.mp, wrong, dist, QUICK_ADAPT, seed=0)
 
 
-def test_adapt_strict_coverage_requires_enough_rows(pipe0):
-    dist = ClassDistribution(np.full(20, 1 / 20))
-    cfg = AdaptationConfig(total_generated=10, strict_coverage=True,
-                           hyper=TrainHyper(epochs=1, batch_size=8, lr=1e-6))
-    with pytest.raises(ConfigError):
-        adapt_classifier(pipe0.mp, pipe0.generator, dist, cfg, seed=0)
+def test_empty_val_split_is_rejected(pipe0):
+    """An empty validation split raises instead of scoring nan, on both paths."""
+    ds = pipe0.dataset
+    empty = (ds.val_x[:0], ds.val_y[:0])
+    dist = ClassDistribution.point_mass(0, 20)
+    with pytest.raises(ValueError):
+        adapt_classifier(pipe0.mp, pipe0.generator, dist, QUICK_ADAPT, seed=0, val=empty)
+    stored = extract_activations(pipe0.mp, ds.train_x[:50], labels=ds.train_y[:50])
+    with pytest.raises(ValueError):
+        retrain_baseline(pipe0.mp, stored, hyper=QUICK_BASELINE, seed=0, val=empty)
 
 
 def test_adapt_deterministic_per_seed(pipe0):
     scenario = pipe0.scenario()
-    _, stream_y = scenario.target_stream()
+    _, stream_y = scenario.target_stream
     dist = ClassDistribution.from_labels(stream_y, 20)
     a, _ = adapt_classifier(pipe0.mp, pipe0.generator, dist, QUICK_ADAPT, seed=4)
     b, _ = adapt_classifier(pipe0.mp, pipe0.generator, dist, QUICK_ADAPT, seed=4)
@@ -211,7 +205,7 @@ def test_adapt_deterministic_per_seed(pipe0):
 
 def _stored(pipe):
     scenario = pipe.scenario()
-    stream_x, stream_y = scenario.target_stream()
+    stream_x, stream_y = scenario.target_stream
     return extract_activations(pipe.mp, stream_x, labels=stream_y), scenario
 
 
@@ -220,7 +214,7 @@ def test_baseline_budget_caps_rows(pipe0):
     row = stored_row_bytes(16)
     assert row == 68
     _, unbounded = retrain_baseline(pipe0.mp, stored, hyper=QUICK_BASELINE,
-                                    seed=0, val=scenario.target_val())
+                                    seed=0, val=scenario.target_val)
     assert unbounded.rows_used == len(stored.features)
     _, capped = retrain_baseline(pipe0.mp, stored, budget_bytes=100 * row,
                                  hyper=QUICK_BASELINE, seed=0)
@@ -246,7 +240,7 @@ def test_baseline_estimated_labels_require_predictions(pipe0):
 def test_baseline_improves_on_unadapted(pipe0):
     stored, scenario = _stored(pipe0)
     _, report = retrain_baseline(pipe0.mp, stored, seed=0,
-                                 val=scenario.target_val())
+                                 val=scenario.target_val)
     assert report.post_accuracy >= report.pre_accuracy
     assert report.method == "baseline"
 

@@ -123,9 +123,10 @@ def test_missing_input_exit_code(tiny):
 
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[dataset]\nclasses = one\n", encoding="utf-8")
-    code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_CONFIG
+    for text in ("[dataset]\nclasses = one\n", "[scenario]\nextra_subsets = 3,3\n"):
+        bad.write_text(text, encoding="utf-8")
+        code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG, text
 
 
 def test_non_finite_config_exit_code(tmp_path):

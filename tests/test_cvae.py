@@ -28,7 +28,6 @@ from loco_pda.errors import DivergenceError, LabelError, ShapeError
 from loco_pda.models import (
     ActivationBatch,
     DatasetSpec,
-    Provenance,
     TrainHyper,
     extract_activations,
     prune_model,
@@ -300,7 +299,6 @@ def test_generate_labels_in_class_order():
     batch = generate_activations(model, np.array([2, 0, 3]), seed=0)
     np.testing.assert_array_equal(batch.labels, [0, 0, 2, 2, 2])
     assert batch.features.shape == (5, 4)
-    assert batch.provenance is Provenance.GENERATED
 
 
 def test_generate_deterministic_per_seed():

@@ -6,7 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from loco_pda.adaptation import AdaptationConfig, LabelMode, retrain_baseline
+from loco_pda.adaptation import (
+    AdaptationConfig,
+    LabelMode,
+    ModelPredictions,
+    label_noise_experiment,
+    retrain_baseline,
+)
 from loco_pda.evaluation import (
     LedgerSpec,
     MemoryCategory,
@@ -19,7 +25,7 @@ from loco_pda.evaluation import (
     training_runtime_bytes,
 )
 from loco_pda.models import (
-    Role,
+    MlpModel,
     TrainHyper,
     build_mlp,
     extract_activations,
@@ -46,18 +52,10 @@ def test_top1_matches_manual_count(pipe0):
     assert acc == manual
 
 
-def test_top1_class_subset_filters_rows(pipe0):
-    ds = pipe0.dataset
-    acc = top1_accuracy(pipe0.m0, ds.val_x, ds.val_y, class_subset=(0, 1))
-    mask = np.isin(ds.val_y, [0, 1])
-    manual = float((pipe0.m0.predict(ds.val_x[mask]) == ds.val_y[mask]).mean())
-    assert acc == manual
-
-
 def test_top1_empty_subset_rejected(pipe0):
     ds = pipe0.dataset
     with pytest.raises(ValueError):
-        top1_accuracy(pipe0.m0, ds.val_x, ds.val_y, class_subset=(99,))
+        top1_accuracy(pipe0.m0, ds.val_x[:0], ds.val_y[:0])
 
 
 # --- rank correlation ---
@@ -93,7 +91,7 @@ def test_spearman_input_validation():
 
 
 def test_training_runtime_bytes_by_hand():
-    model = build_mlp(make_rng(0), 4, (6,), 3, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 4, (6,), 3)
     fc = model.fc_layer  # 6 -> 3: 21 parameters
     # params + sgd velocity + grads + 2 * batch * (in + out) floats, 4 B each
     want = 4 * (21 + 21 + 21 + 2 * 8 * (6 + 3))
@@ -152,13 +150,13 @@ def test_budget_sweep_structure_and_unbounded_point(pipe0):
     # a budget below one stored row short-circuits to the no-retrain accuracy
     assert result.points[0].mean_accuracy == result.no_retrain_accuracy
     # the unbounded point must equal a direct unbounded retrain, same seeds
-    stream_x, stream_y = scenario.target_stream()
+    stream_x, stream_y = scenario.target_stream
     stored = extract_activations(pipe0.mp, stream_x, labels=stream_y)
     direct = []
     for seed in (0, 1):
         _, rep = retrain_baseline(pipe0.mp, stored, LabelMode.GROUND_TRUTH,
                                   hyper=QUICK_BASELINE, seed=seed,
-                                  val=scenario.target_val())
+                                  val=scenario.target_val)
         direct.append(rep.post_accuracy)
     assert result.points[-1].per_seed == direct
     if result.crossover_budget is not None:
@@ -219,3 +217,41 @@ def test_matrix_rejects_unknown_method(pipe0):
     scenario = pipe0.scenario()
     with pytest.raises(ValueError):
         run_experiment_matrix([("main", scenario)], methods=("replay",), seeds=(0,))
+
+
+# --- scenario cache ---
+
+
+def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
+    """One scenario through the matrix, the sweep and the label-noise
+    experiment extracts the stream's activations once and runs the deployed
+    model over the stream once; every cached array refuses writes."""
+    classes = (0, 1, 2)
+    mask = np.isin(pipe0.dataset.train_y, classes)
+    stream_x = pipe0.dataset.train_x[mask]
+    seen = []
+
+    def counting(name, original):
+        def wrapper(model, x):
+            if x.shape == stream_x.shape and np.array_equal(x, stream_x):
+                seen.append((name, model))
+            return original(model, x)
+        return wrapper
+
+    monkeypatch.setattr(MlpModel, "features", counting("features", MlpModel.features))
+    monkeypatch.setattr(MlpModel, "predict", counting("predict", MlpModel.predict))
+    scenario = pipe0.scenario(classes)
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    run_experiment_matrix([("main", scenario)], seeds=(0, 1), cfg=cfg,
+                          baseline_hyper=QUICK_BASELINE)
+    budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
+    label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
+                           baseline_hyper=QUICK_BASELINE)
+    assert seen.count(("features", pipe0.mp)) == 1
+    assert seen.count(("predict", pipe0.m0)) == 1
+
+    cached = [*scenario.target_stream, *scenario.target_val, scenario.stored.features,
+              scenario.stored.labels, scenario.predictions, scenario.true_dist.probs]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0

@@ -17,7 +17,7 @@ from loco_pda.errors import (
     TruncationError,
     UnsupportedVersionError,
 )
-from loco_pda.models import ActivationBatch, DatasetSpec, Provenance, Role, synth_dataset, build_mlp
+from loco_pda.models import ActivationBatch, DatasetSpec, synth_dataset, build_mlp
 from loco_pda.numerics import Activation, DenseLayer, make_rng
 from loco_pda.cvae import CvaeModel
 
@@ -33,7 +33,7 @@ def _small_batch(with_labels=True) -> ActivationBatch:
 
 def _small_mlp():
     return build_mlp(make_rng(3), input_dim=4, feature_widths=(6, 5),
-                     num_classes=3, role=Role.PRUNED, prune_fraction=0.25)
+                     num_classes=3, prune_fraction=0.25)
 
 
 def _small_cvae() -> CvaeModel:
@@ -69,12 +69,6 @@ def test_activation_zero_rows():
     loaded = formats.parse_activations(formats.activation_bytes(batch))
     assert loaded.features.shape == (0, 7)
     assert loaded.labels.shape == (0,)
-
-
-def test_activation_provenance_passthrough():
-    buf = formats.activation_bytes(_small_batch())
-    loaded = formats.parse_activations(buf, provenance=Provenance.GENERATED)
-    assert loaded.provenance is Provenance.GENERATED
 
 
 def test_activation_bad_magic():
@@ -146,20 +140,12 @@ def test_mlp_round_trip_bit_exact(tmp_path):
     assert loaded.meta.num_classes == 3
     assert loaded.meta.activation_dim == 5
     assert loaded.meta.prune_fraction == pytest.approx(0.25)
-    assert loaded.meta.role is Role.PRUNED
     for got, want in zip(loaded.layers, model.layers):
         np.testing.assert_array_equal(got.weight, want.weight)
         np.testing.assert_array_equal(got.bias, want.bias)
         assert got.activation == want.activation
     formats.save_mlp(tmp_path / "again.lpmd", loaded)
     assert (tmp_path / "again.lpmd").read_bytes() == p.read_bytes()
-
-
-def test_mlp_role_inferred_from_prune_fraction(tmp_path):
-    deployed = build_mlp(make_rng(0), 4, (5,), 3, Role.DEPLOYED, 0.0)
-    p = tmp_path / "m0.lpmd"
-    formats.save_mlp(p, deployed)
-    assert formats.load_mlp(p).meta.role is Role.DEPLOYED
 
 
 def test_cvae_round_trip_preserves_generation(tmp_path):

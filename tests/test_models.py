@@ -9,7 +9,6 @@ from loco_pda.errors import LabelError, NumericError, ShapeError
 from loco_pda.models import (
     DatasetSpec,
     EpochStats,
-    Role,
     TrainHyper,
     build_mlp,
     class_means_for,
@@ -84,7 +83,7 @@ def test_synth_dataset_rejects_bad_specs():
 
 
 def test_forward_is_fc_of_features():
-    model = build_mlp(make_rng(0), 8, (6, 5), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 8, (6, 5), 4)
     x = np.random.default_rng(3).standard_normal((10, 8)).astype(np.float32)
     feats = model.features(x)
     assert feats.shape == (10, 5)
@@ -93,7 +92,7 @@ def test_forward_is_fc_of_features():
 
 def test_extract_activations_labels_and_provenance():
     ds = synth_dataset(SMALL)
-    model = build_mlp(make_rng(0), 8, (6, 5), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 8, (6, 5), 4)
     batch = extract_activations(model, ds.train_x, labels=ds.train_y)
     assert batch.features.shape == (200, 5)
     np.testing.assert_array_equal(batch.labels, ds.train_y)
@@ -101,14 +100,14 @@ def test_extract_activations_labels_and_provenance():
 
 
 def test_model_memory_bytes_counts_every_parameter():
-    model = build_mlp(make_rng(0), 4, (6, 5), 3, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 4, (6, 5), 3)
     # (6*4+6) + (5*6+5) + (3*5+3) parameters, 4 bytes each
     assert model_memory_bytes(model) == 4 * (30 + 35 + 18)
 
 
 def test_train_lr_zero_is_exact_noop():
     ds = synth_dataset(SMALL)
-    model = build_mlp(make_rng(0), 8, (6, 5), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 8, (6, 5), 4)
     before = [(l.weight.copy(), l.bias.copy()) for l in model.layers]
     train_softmax_stack(model.layers, ds.train_x, ds.train_y,
                         TrainHyper(epochs=3, batch_size=32, lr=0.0), seed=0)
@@ -119,7 +118,7 @@ def test_train_lr_zero_is_exact_noop():
 
 def test_train_rejects_out_of_range_labels():
     ds = synth_dataset(SMALL)
-    model = build_mlp(make_rng(0), 8, (6,), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 8, (6,), 4)
     bad = ds.train_y.copy()
     bad[0] = 4
     with pytest.raises(LabelError):
@@ -175,7 +174,7 @@ def test_train_softmax_stack_is_bitwise_textbook(optimizer, depth):
     ds = synth_dataset(SMALL)   # 200 rows: the last batch of 30 holds 20
     hyper = TrainHyper(epochs=4, batch_size=30, lr=1e-2, lr_step_epochs=2,
                        lr_gamma=0.5, optimizer=optimizer)
-    model = build_mlp(make_rng(3), 8, (6, 5), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(3), 8, (6, 5), 4)
     if depth == 3:
         layers, x, vx = model.layers, ds.train_x, ds.val_x
     else:  # the classifier alone, on the extractor's features
@@ -196,7 +195,7 @@ def test_train_names_epoch_and_batch_of_an_inf_row():
     # the row's place in epoch 0's shuffle gives its batch
     perm = derive_rng(4, stage_key("shuffle")).permutation(len(x))
     batch = int(np.flatnonzero(perm == 57)[0]) // 32
-    model = build_mlp(make_rng(0), 8, (6, 5), 4, Role.DEPLOYED)
+    model = build_mlp(make_rng(0), 8, (6, 5), 4)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(NumericError, match=f"epoch 0, batch {batch}$"):
             train_softmax_stack(model.layers, x, ds.train_y,
@@ -221,7 +220,6 @@ def test_source_training_learns_small_task():
     model, log = train_source_model(ds, feature_widths=(16, 8),
                                     hyper=TrainHyper(epochs=60, batch_size=32, lr=1e-3),
                                     seed=1)
-    assert model.meta.role is Role.DEPLOYED
     assert log[-1].val_accuracy is not None
     assert log[-1].val_accuracy > 0.8
     assert log[-1].train_loss < log[0].train_loss
@@ -238,7 +236,6 @@ def test_prune_widths_and_activation_dim_preserved():
     # floor(0.3*64)=19 and floor(0.3*32)=9 units dropped; final layer untouched
     assert widths == [45, 23, 16]
     assert mp.meta.activation_dim == 16
-    assert mp.meta.role is Role.PRUNED
     assert mp.meta.prune_fraction == pytest.approx(0.3)
     assert model_memory_bytes(mp) < model_memory_bytes(m0)
 
