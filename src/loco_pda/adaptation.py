@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvae import CvaeModel, UncondVaePack, generate_activations, generate_uncond
+from .cvae import CvaeModel, UncondVaePack, generate_activations
 from .errors import ConfigError, LabelError
 from .models import (
     ActivationBatch,
@@ -100,9 +100,13 @@ def allocate_counts(dist: ClassDistribution, total: int) -> np.ndarray:
     if total < 1:
         raise ValueError("total must be >= 1")
     probs = dist.probs
-    exact = total * probs
-    counts = np.floor(exact).astype(np.int64)
-    remainder = exact - counts
+    counts = np.floor(total * probs).astype(np.int64)
+    if not 0 <= total - counts.sum() <= np.count_nonzero(probs):
+        # probs that sum to 1 only within ClassDistribution's tolerance can
+        # miss total by more than one row per class; rescaled, they cannot
+        probs = probs / probs.sum()
+        counts = np.floor(total * probs).astype(np.int64)
+    remainder = total * probs - counts
     leftover = total - int(counts.sum())
     # only classes actually present may receive remainder promotions
     eligible = np.flatnonzero(probs > 0)
@@ -158,13 +162,6 @@ class AdaptationReport:
         }
 
 
-def _with_classifier_copy(mp: MlpModel) -> MlpModel:
-    """mp's feature extractor, shared and left untrained, and a copy of its classifier."""
-    fc = mp.fc_layer
-    fc_copy = DenseLayer(fc.weight.copy(), fc.bias.copy(), fc.activation)
-    return MlpModel(mp.fe_layers + [fc_copy], mp.feature_boundary, replace(mp.meta))
-
-
 def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of samples whose argmax logit, over the full class head,
     equals the label."""
@@ -172,6 +169,24 @@ def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if y.shape[0] == 0:
         raise ValueError("no samples to score")
     return float((model.predict(x) == y).mean())
+
+
+def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray,
+             labels: np.ndarray, hyper: TrainHyper, seed: int,
+             val) -> tuple[MlpModel, AdaptationReport]:
+    """Train a copy of mp's classifier on (feats, labels) and report it, scored
+    on val before and after. mp's feature extractor is shared, not trained."""
+    fc = mp.fc_layer
+    fc_copy = DenseLayer(fc.weight.copy(), fc.bias.copy(), fc.activation)
+    adapted = MlpModel(mp.fe_layers + [fc_copy], mp.feature_boundary, replace(mp.meta))
+    pre = None if val is None else top1_accuracy(adapted, *val)
+    log = train_softmax_stack([fc_copy], feats, labels, hyper, seed=seed)
+    post = None if val is None else top1_accuracy(adapted, *val)
+    return adapted, AdaptationReport(
+        method=method, label_mode=label_mode,
+        class_counts=np.bincount(labels, minlength=mp.meta.num_classes).tolist(),
+        rows_used=len(labels), epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
+    )
 
 
 def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
@@ -184,29 +199,16 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
     input model is not modified.
     """
     cfg = cfg or AdaptationConfig()
-    a_dim = generator.vaes[0].a_dim if isinstance(generator, UncondVaePack) else generator.a_dim
-    gen_classes = generator.num_classes
-    if a_dim != mp.meta.activation_dim or gen_classes != mp.meta.num_classes:
+    if (generator.a_dim != mp.meta.activation_dim
+            or generator.num_classes != mp.meta.num_classes):
         raise ConfigError(
-            f"generator covers [{gen_classes} classes x {a_dim} dims], model expects "
-            f"[{mp.meta.num_classes} x {mp.meta.activation_dim}]"
+            f"generator covers [{generator.num_classes} classes x {generator.a_dim} dims], "
+            f"model expects [{mp.meta.num_classes} x {mp.meta.activation_dim}]"
         )
-    adapted = _with_classifier_copy(mp)
-    pre = None if val is None else top1_accuracy(adapted, *val)
-    counts = allocate_counts(dist, cfg.total_generated)
-    if isinstance(generator, UncondVaePack):
-        pool = generate_uncond(generator, counts, seed=seed)
-    else:
-        pool = generate_activations(generator, counts, seed=seed)
-    log = train_softmax_stack([adapted.fc_layer], pool.features, pool.labels,
-                              cfg.hyper, seed=seed)
-    post = None if val is None else top1_accuracy(adapted, *val)
-    report = AdaptationReport(
-        method="loco", label_mode=cfg.label_mode,
-        class_counts=[int(c) for c in counts], rows_used=int(counts.sum()),
-        epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
-    )
-    return adapted, report
+    pool = generate_activations(generator, allocate_counts(dist, cfg.total_generated),
+                                seed=seed)
+    return _retrain("loco", cfg.label_mode, mp, pool.features, pool.labels,
+                    cfg.hyper, seed, val)
 
 
 def stored_row_bytes(a_dim: int) -> int:
@@ -215,51 +217,32 @@ def stored_row_bytes(a_dim: int) -> int:
 
 
 def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
-                     label_mode: LabelMode = LabelMode.GROUND_TRUTH,
                      budget_bytes: int | None = None,
                      hyper: TrainHyper | None = None,
-                     predicted_labels: np.ndarray | None = None,
+                     labels: np.ndarray | None = None,
                      seed: int = 0, val=None) -> tuple[MlpModel, AdaptationReport]:
     """Classifier-only retraining on stored real feature rows under a budget.
 
     budget_bytes caps how many stored rows may be used (row cost is
     stored_row_bytes); None means unbounded. Rows are chosen by a seeded
     permutation so truncation does not bias toward any class ordering.
+    labels, one per stored row (e.g. the deployed model's predictions),
+    replace the stored labels and tag the report estimated.
     """
-    if stored.labels is None:
-        raise LabelError("stored batch has no labels")
-    hyper = hyper or replace(DEFAULT_BASELINE_HYPER)
-    row_bytes = stored_row_bytes(stored.features.shape[1])
     n = len(stored)
-    if budget_bytes is None:
-        used = n
-    else:
-        if budget_bytes < row_bytes:
-            raise ValueError(
-                f"budget {budget_bytes} B is below one stored row ({row_bytes} B)"
-            )
-        used = min(n, budget_bytes // row_bytes)
-    if label_mode == LabelMode.ESTIMATED:
-        if predicted_labels is None:
-            raise LabelError("estimated-label mode needs predicted labels")
-        labels = np.asarray(predicted_labels, dtype=np.int64)
-        if labels.shape != (n,):
-            raise LabelError(f"predicted labels shape {labels.shape} != ({n},)")
-    else:
-        labels = stored.labels
+    label_mode = LabelMode.GROUND_TRUTH if labels is None else LabelMode.ESTIMATED
+    labels = stored.labels if labels is None else np.asarray(labels, dtype=np.int64)
+    if labels is None:
+        raise LabelError("stored batch has no labels")
+    if labels.shape != (n,):
+        raise LabelError(f"labels shape {labels.shape} != ({n},)")
+    row_bytes = stored_row_bytes(stored.features.shape[1])
+    if budget_bytes is not None and budget_bytes < row_bytes:
+        raise ValueError(f"budget {budget_bytes} B is below one stored row ({row_bytes} B)")
+    used = n if budget_bytes is None else min(n, budget_bytes // row_bytes)
     pick = derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
-    feats, labs = stored.features[pick], labels[pick]
-    adapted = _with_classifier_copy(mp)
-    pre = None if val is None else top1_accuracy(adapted, *val)
-    log = train_softmax_stack([adapted.fc_layer], feats, labs, hyper, seed=seed)
-    post = None if val is None else top1_accuracy(adapted, *val)
-    counts = np.bincount(labs, minlength=mp.meta.num_classes)
-    report = AdaptationReport(
-        method="baseline", label_mode=label_mode,
-        class_counts=[int(c) for c in counts], rows_used=used,
-        epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
-    )
-    return adapted, report
+    return _retrain("baseline", label_mode, mp, stored.features[pick], labels[pick],
+                    hyper or replace(DEFAULT_BASELINE_HYPER), seed, val)
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +396,10 @@ def label_noise_experiment(scenario: Scenario,
     _, loco_noisy = adapt_classifier(scenario.mp, scenario.cvae, noisy_dist,
                                      noisy_cfg, seed=scenario.seed, val=val)
     stored = scenario.stored
-    _, base_cert = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
-                                    hyper=baseline_hyper, seed=scenario.seed, val=val)
-    _, base_noisy = retrain_baseline(scenario.mp, stored, LabelMode.ESTIMATED,
-                                     hyper=baseline_hyper, predicted_labels=noisy_y,
-                                     seed=scenario.seed, val=val)
+    _, base_cert = retrain_baseline(scenario.mp, stored, hyper=baseline_hyper,
+                                    seed=scenario.seed, val=val)
+    _, base_noisy = retrain_baseline(scenario.mp, stored, hyper=baseline_hyper,
+                                     labels=noisy_y, seed=scenario.seed, val=val)
     return NoiseComparison(
         noise_kind=kind,
         unadapted_accuracy=loco_cert.pre_accuracy,

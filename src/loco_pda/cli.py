@@ -292,16 +292,14 @@ def cmd_adapt(ctx: Context, args) -> list[str]:
     stream = _load_stream(ctx, None)
     val = _val_subset(ctx)
     cfg = ctx.cfg.adapt_config()
-    mode = getattr(args, "labels", "ground-truth")
-    if mode == "estimated":
+    cfg.label_mode = LabelMode(getattr(args, "labels", "ground-truth"))
+    if cfg.label_mode is LabelMode.ESTIMATED:
         dist = _load_domain(ctx)
-        cfg.label_mode = LabelMode.ESTIMATED
     else:
         if stream.labels is None:
             raise LabelError("target stream carries no labels; "
                              "use --labels estimated instead")
         dist = ClassDistribution.from_labels(stream.labels, ctx.cfg.classes)
-        cfg.label_mode = LabelMode.GROUND_TRUTH
     adapted, report = adaptation.adapt_classifier(mp, generator, dist, cfg,
                                                   seed=ctx.seed, val=val)
     formats.save_mlp(ctx.path(ADAPTED), adapted)
@@ -317,7 +315,7 @@ def cmd_baseline(ctx: Context, args) -> list[str]:
     val = _val_subset(ctx)
     stored = models.extract_activations(mp, stream.features, labels=stream.labels)
     model, report = adaptation.retrain_baseline(
-        mp, stored, LabelMode.GROUND_TRUTH, budget_bytes=getattr(args, "budget", None),
+        mp, stored, budget_bytes=getattr(args, "budget", None),
         hyper=ctx.cfg.baseline_hyper(), seed=ctx.seed, val=val)
     formats.save_mlp(ctx.path(BASELINE_MODEL), model)
     _write_json(ctx.path(BASELINE_REPORT), report.to_json_dict())

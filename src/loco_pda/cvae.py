@@ -322,25 +322,6 @@ def train_cvae(batch: ActivationBatch, num_classes: int,
     return model, log
 
 
-def generate_activations(model: CvaeModel, counts: np.ndarray, seed: int = 0) -> ActivationBatch:
-    """Decode standard-normal latents under one-hot conditioning.
-
-    counts[c] rows are produced for class c, in class order, labeled.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if model.num_classes == 0:
-        raise LabelError("model is unconditional; use a per-class pack instead")
-    if counts.shape != (model.num_classes,):
-        raise ShapeError(f"counts shape {counts.shape} != ({model.num_classes},)")
-    if (counts < 0).any():
-        raise ValueError("counts must be nonnegative")
-    labels = np.repeat(np.arange(model.num_classes), counts)
-    rng = derive_rng(seed, stage_key("generate"))
-    z = rng.standard_normal((labels.shape[0], model.z_dim)).astype(F32)
-    feats = model.decode(z, one_hot(labels, model.num_classes))
-    return ActivationBatch(feats, labels=labels)
-
-
 # ---------------------------------------------------------------------------
 # Per-class unconditional baseline
 # ---------------------------------------------------------------------------
@@ -355,6 +336,10 @@ class UncondVaePack:
     @property
     def num_classes(self) -> int:
         return len(self.vaes)
+
+    @property
+    def a_dim(self) -> int:
+        return self.vaes[0].a_dim
 
     def named_params(self) -> dict[str, np.ndarray]:
         return {f"vae{c}.{name}": p for c, vae in enumerate(self.vaes)
@@ -387,24 +372,31 @@ def train_uncond_pack(batch: ActivationBatch, num_classes: int,
     return UncondVaePack(vaes), logs
 
 
-def generate_uncond(pack: UncondVaePack, counts: np.ndarray, seed: int = 0) -> ActivationBatch:
-    """Per-class decoding from standard-normal latents, concatenated in class order."""
+def generate_activations(generator: CvaeModel | UncondVaePack, counts: np.ndarray,
+                         seed: int = 0) -> ActivationBatch:
+    """Decode standard-normal latents into counts[c] rows of class c, labeled,
+    in class order.
+
+    A conditional model decodes one draw under one-hot conditioning; a
+    per-class pack decodes each class with its own member from its own draw.
+    """
     counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != (pack.num_classes,):
-        raise ShapeError(f"counts shape {counts.shape} != ({pack.num_classes},)")
+    if generator.num_classes == 0:
+        raise LabelError("model is unconditional; use a per-class pack instead")
+    if counts.shape != (generator.num_classes,):
+        raise ShapeError(f"counts shape {counts.shape} != ({generator.num_classes},)")
     if (counts < 0).any():
         raise ValueError("counts must be nonnegative")
-    parts, labels = [], []
-    empty = np.zeros((0, 0), dtype=F32)
-    for c, model in enumerate(pack.vaes):
-        n = int(counts[c])
-        if n == 0:
-            continue
-        rng = derive_rng(seed, stage_key("generate"), c)
-        z = rng.standard_normal((n, model.z_dim)).astype(F32)
-        parts.append(model.decode(z, empty))
-        labels.append(np.full(n, c, dtype=np.int64))
-    a_dim = pack.vaes[0].a_dim
-    feats = np.concatenate(parts) if parts else np.zeros((0, a_dim), dtype=F32)
-    lab = np.concatenate(labels) if labels else np.zeros(0, dtype=np.int64)
-    return ActivationBatch(feats, labels=lab)
+    labels = np.repeat(np.arange(generator.num_classes), counts)
+    if isinstance(generator, CvaeModel):
+        rng = derive_rng(seed, stage_key("generate"))
+        z = rng.standard_normal((labels.shape[0], generator.z_dim)).astype(F32)
+        feats = generator.decode(z, one_hot(labels, generator.num_classes))
+        return ActivationBatch(feats, labels=labels)
+    parts = [np.zeros((0, generator.a_dim), dtype=F32)]
+    for c, model in enumerate(generator.vaes):
+        if counts[c] > 0:
+            rng = derive_rng(seed, stage_key("generate"), c)
+            z = rng.standard_normal((int(counts[c]), model.z_dim)).astype(F32)
+            parts.append(model.decode(z, None))
+    return ActivationBatch(np.concatenate(parts), labels=labels)

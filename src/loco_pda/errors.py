@@ -1,4 +1,4 @@
-"""Exception hierarchy. Each class maps to one CLI exit code (see cli.EXIT_CODES)."""
+"""Exception hierarchy. Each class maps to one CLI exit code (see cli._ERROR_CODES)."""
 
 
 class LocoError(Exception):

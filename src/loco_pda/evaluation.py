@@ -223,6 +223,8 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
         raise ValueError("budgets must be positive")
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be ascending")
+    if len(seeds) == 0:
+        raise ValueError("no seeds to run")
     cfg = cfg or AdaptationConfig()
     val, stored = scenario.target_val, scenario.stored
     row = stored_row_bytes(scenario.mp.meta.activation_dim)
@@ -240,9 +242,8 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
         else:
             per_seed = []
             for seed in seeds:
-                _, rep = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
-                                          budget_bytes=budget, hyper=baseline_hyper,
-                                          seed=seed, val=val)
+                _, rep = retrain_baseline(scenario.mp, stored, budget_bytes=budget,
+                                          hyper=baseline_hyper, seed=seed, val=val)
                 per_seed.append(rep.post_accuracy)
         points.append(SweepPoint(budget, per_seed, float(np.mean(per_seed))))
     crossover = None
@@ -290,6 +291,8 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
                    seeds=(0, 1, 2, 3, 4)) -> CondUncondReport:
     """Same adaptation run with the conditional generator and the per-class
     pack; reports the accuracy gap and the exact memory ratio."""
+    if len(seeds) == 0:
+        raise ValueError("no seeds to run")
     cfg = cfg or AdaptationConfig()
     val, dist = scenario.target_val, scenario.true_dist
     cond_accs, uncond_accs = [], []
@@ -355,26 +358,21 @@ def _run_cell(scenario: Scenario, method: str, seed: int, cfg: AdaptationConfig,
               baseline_hyper: TrainHyper | None) -> AdaptationReport:
     val = scenario.target_val
     estimated = method.endswith("estimated")
-    if method.startswith("loco"):
-        if estimated:
-            # the deployed model's argmax frequencies, as estimate_domain counts them
-            dist = ClassDistribution.from_labels(scenario.predictions,
-                                                 scenario.dataset.spec.num_classes)
-            cell_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-        else:
-            dist = scenario.true_dist
-            cell_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
-        _, report = adapt_classifier(scenario.mp, scenario.cvae, dist, cell_cfg,
+    if method.startswith("baseline"):
+        _, report = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
+                                     labels=scenario.predictions if estimated else None,
                                      seed=seed, val=val)
         return report
     if estimated:
-        _, report = retrain_baseline(scenario.mp, scenario.stored, LabelMode.ESTIMATED,
-                                     hyper=baseline_hyper,
-                                     predicted_labels=scenario.predictions,
-                                     seed=seed, val=val)
+        # the deployed model's argmax frequencies, as estimate_domain counts them
+        dist = ClassDistribution.from_labels(scenario.predictions,
+                                             scenario.dataset.spec.num_classes)
+        cell_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
     else:
-        _, report = retrain_baseline(scenario.mp, scenario.stored, LabelMode.GROUND_TRUTH,
-                                     hyper=baseline_hyper, seed=seed, val=val)
+        dist = scenario.true_dist
+        cell_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
+    _, report = adapt_classifier(scenario.mp, scenario.cvae, dist, cell_cfg, seed=seed,
+                                 val=val)
     return report
 
 
@@ -384,6 +382,8 @@ def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
                           baseline_hyper: TrainHyper | None = None) -> ExperimentMatrix:
     """Every (scenario, method, seed) cell, each holding a report or the error
     that prevented it."""
+    if len(seeds) == 0:
+        raise ValueError("no seeds to run")
     cfg = cfg or AdaptationConfig()
     cells = []
     for name, scenario in scenarios:

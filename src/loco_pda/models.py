@@ -228,9 +228,11 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     """
     y = np.asarray(y)
     n = x.shape[0]
+    if n == 0:
+        raise ValueError("no rows to train on")
     if y.shape != (n,):
         raise ShapeError(f"labels shape {y.shape} does not match {n} rows")
-    if y.size and (y.min() < 0 or y.max() >= layers[-1].out_dim):
+    if y.min() < 0 or y.max() >= layers[-1].out_dim:
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
     flat = FlatParams(stack_params(layers))

@@ -19,7 +19,6 @@ from loco_pda import cli, formats, models
 from loco_pda.adaptation import (
     AdaptationConfig,
     ClassDistribution,
-    LabelMode,
     SyntheticFlip,
     adapt_classifier,
     allocate_counts,
@@ -204,8 +203,7 @@ def test_criterion_05_adaptation_parity(pipeline_for):
         _, adapted = adapt_classifier(scenario.mp, scenario.cvae, dist,
                                       AdaptationConfig(), seed=seed, val=val)
         stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
-        _, oracle = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
-                                     seed=seed, val=val)
+        _, oracle = retrain_baseline(scenario.mp, stored, seed=seed, val=val)
         assert adapted.post_accuracy >= adapted.pre_accuracy, seed
         gaps.append(oracle.post_accuracy - adapted.post_accuracy)
     print(f"oracle-minus-adapted gaps: {[round(g, 4) for g in gaps]}")
@@ -310,8 +308,7 @@ def test_criterion_09_budget_sweep(pipe0):
     stored = extract_activations(scenario.mp, stream_x, labels=stream_y)
     val = scenario.target_val
     for seed, acc in zip(SEEDS, unbounded.per_seed):
-        _, rep = retrain_baseline(scenario.mp, stored, LabelMode.GROUND_TRUTH,
-                                  seed=seed, val=val)
+        _, rep = retrain_baseline(scenario.mp, stored, seed=seed, val=val)
         assert acc == rep.post_accuracy, seed
 
     print(f"crossover budget: {result.crossover_budget} B against generated-data "

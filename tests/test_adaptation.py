@@ -20,7 +20,7 @@ from loco_pda.adaptation import (
     stored_row_bytes,
 )
 from loco_pda.errors import ConfigError, LabelError
-from loco_pda.models import TrainHyper, extract_activations
+from loco_pda.models import ActivationBatch, TrainHyper, extract_activations
 
 
 QUICK_ADAPT = AdaptationConfig(
@@ -118,6 +118,17 @@ def test_allocate_rejects_bad_arguments():
     dist = ClassDistribution(np.array([1.0]))
     with pytest.raises(ValueError):
         allocate_counts(dist, 0)
+
+
+def test_allocate_sums_to_total_for_probs_within_tolerance():
+    """ClassDistribution accepts probs that sum to 1 within 1e-6; their floors
+    can overshoot total, or fall short by more than one row per class."""
+    over = ClassDistribution(np.array([0.5000004, 0.5000004, 0.0]))
+    under = ClassDistribution(np.array([0.4999996, 0.4999996, 0.0]))
+    for dist, total, want in ((over, 10**7, [5_000_000, 5_000_000, 0]),
+                              (over, 2_000_001, [1_000_001, 1_000_000, 0]),
+                              (under, 10**7, [5_000_000, 5_000_000, 0])):
+        np.testing.assert_array_equal(allocate_counts(dist, total), want)
 
 
 def test_allocate_error_bound_spot_checks():
@@ -230,11 +241,34 @@ def test_baseline_rejects_budget_below_one_row(pipe0):
         retrain_baseline(pipe0.mp, stored, budget_bytes=10, hyper=QUICK_BASELINE)
 
 
-def test_baseline_estimated_labels_require_predictions(pipe0):
+def test_baseline_trains_on_given_labels_and_tags_them_estimated(pipe0):
+    """Given labels replace the stored ones: the classifier equals one trained
+    on a batch that carries those labels itself, and only the tag differs."""
+    stored, scenario = _stored(pipe0)
+    shifted = (stored.labels + 1) % 20
+    relabeled = ActivationBatch(stored.features, labels=shifted)
+    budget = 300 * stored_row_bytes(16)
+    given, rep = retrain_baseline(pipe0.mp, stored, budget_bytes=budget,
+                                  hyper=QUICK_BASELINE, labels=shifted, seed=3,
+                                  val=scenario.target_val)
+    own, own_rep = retrain_baseline(pipe0.mp, relabeled, budget_bytes=budget,
+                                    hyper=QUICK_BASELINE, seed=3,
+                                    val=scenario.target_val)
+    np.testing.assert_array_equal(given.fc_layer.weight, own.fc_layer.weight)
+    np.testing.assert_array_equal(given.fc_layer.bias, own.fc_layer.bias)
+    assert rep.label_mode is LabelMode.ESTIMATED
+    assert own_rep.label_mode is LabelMode.GROUND_TRUTH
+    assert rep.class_counts == own_rep.class_counts
+    assert rep.class_counts != retrain_baseline(
+        pipe0.mp, stored, budget_bytes=budget, hyper=QUICK_BASELINE, seed=3)[1].class_counts
+    assert (rep.rows_used, rep.post_accuracy) == (own_rep.rows_used, own_rep.post_accuracy)
+
+
+def test_baseline_rejects_labels_of_the_wrong_length(pipe0):
     stored, _ = _stored(pipe0)
-    with pytest.raises(LabelError):
-        retrain_baseline(pipe0.mp, stored, LabelMode.ESTIMATED,
-                         hyper=QUICK_BASELINE)
+    for labels in (stored.labels[:-1], np.zeros((len(stored), 1), dtype=np.int64)):
+        with pytest.raises(LabelError, match="labels shape"):
+            retrain_baseline(pipe0.mp, stored, hyper=QUICK_BASELINE, labels=labels)
 
 
 def test_baseline_improves_on_unadapted(pipe0):

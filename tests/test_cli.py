@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from loco_pda import cli
+from loco_pda import cli, formats
 from loco_pda.config import PipelineConfig, load_config
+from loco_pda.models import ActivationBatch
 
 TINY_CONFIG = """\
 [dataset]
@@ -188,6 +189,26 @@ def test_invalid_argument_exit_code(tiny):
         assert run(cfg, out, *argv) == 0
     # budget below one stored row (4 dims -> 20 B) is a caller error
     assert run(cfg, out, "baseline", "--budget", "5") == cli.EXIT_INVALID
+
+
+def test_empty_target_stream_is_invalid_for_adapt_and_baseline(tiny):
+    """A zero-row target stream that its manifest records exits as invalid
+    input from both retraining commands, not with a traceback."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
+                 ("train-cvae",)]:
+        assert run(cfg, out, *argv) == 0
+    stream = formats.load_activations(out / cli.TARGET_STREAM)
+    formats.save_activations(out / cli.TARGET_STREAM,
+                             ActivationBatch(stream.features[:0], labels=stream.labels[:0]))
+    manifest_path = out / "manifest_synth-data.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"][cli.TARGET_STREAM] = hashlib.sha256(
+        (out / cli.TARGET_STREAM).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(cfg, out, "adapt") == cli.EXIT_INVALID
+    assert run(cfg, out, "baseline") == cli.EXIT_INVALID
+    assert not (out / cli.BASELINE_MODEL).exists()
 
 
 def test_estimate_domain_stream_flag(tiny):

@@ -18,7 +18,6 @@ from loco_pda.cvae import (
     align_latent,
     fit_vae,
     generate_activations,
-    generate_uncond,
     kl_diag_gauss,
     reparameterize,
     train_cvae,
@@ -34,7 +33,7 @@ from loco_pda.models import (
     synth_dataset,
     train_source_model,
 )
-from loco_pda.numerics import gradcheck, make_rng, one_hot
+from loco_pda.numerics import derive_rng, gradcheck, make_rng, one_hot, stage_key
 
 
 # --- KL divergence ---
@@ -382,7 +381,7 @@ def test_uncond_pack_members_are_truly_unconditional():
 def test_uncond_generation_separates_classes():
     acts = _two_class_acts()
     pack, _ = train_uncond_pack(acts, 2, seed=0)
-    gen = generate_uncond(pack, np.array([250, 250]), seed=1)
+    gen = generate_activations(pack, np.array([250, 250]), seed=1)
     np.testing.assert_array_equal(np.bincount(gen.labels), [250, 250])
     real_means = np.stack([acts.features[acts.labels == c].mean(axis=0)
                            for c in range(2)])
@@ -404,9 +403,28 @@ def test_generate_uncond_count_shape_checked():
     acts = _two_class_acts()
     pack, _ = train_uncond_pack(acts, 2, hyper=CvaeHyper(epochs=2), seed=0)
     with pytest.raises(ShapeError):
-        generate_uncond(pack, np.array([1, 2, 3]))
-    empty = generate_uncond(pack, np.array([0, 0]))
+        generate_activations(pack, np.array([1, 2, 3]))
+    empty = generate_activations(pack, np.array([0, 0]))
     assert empty.features.shape[0] == 0
+
+
+def test_pack_generation_is_bitwise_a_per_member_decode():
+    """Class c decodes with member c from its own draw, keyed by (seed,
+    "generate", c), whatever the other classes' counts."""
+    acts = _two_class_acts()
+    pack, _ = train_uncond_pack(acts, 2, hyper=CvaeHyper(epochs=2), seed=0)
+    assert pack.a_dim == acts.features.shape[1]
+    for counts in ([7, 5], [0, 4], [3, 0]):
+        got = generate_activations(pack, np.array(counts), seed=9)
+        feats = []
+        for c, vae in enumerate(pack.vaes):
+            rng = derive_rng(9, stage_key("generate"), c)
+            z = rng.standard_normal((counts[c], vae.z_dim)).astype(np.float32)
+            feats.append(vae.decode(z, np.zeros((counts[c], 0), np.float32)))
+        want = np.concatenate(feats)
+        assert got.features.dtype == want.dtype
+        assert got.features.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got.labels, np.repeat([0, 1], counts))
 
 
 # --- forward caches ---
@@ -431,7 +449,7 @@ def test_no_layer_keeps_a_batch_after_training_or_generation():
                         dec_widths=(6,))
     generate_activations(gen, np.array([5, 5]), seed=2)
     pack, _ = train_uncond_pack(acts, 2, hyper=small, seed=2)
-    generate_uncond(pack, np.array([5, 5]), seed=2)
+    generate_activations(pack, np.array([5, 5]), seed=2)
     stacks = [m0.layers, mp.layers, gen.encoder, gen.decoder]
     stacks += [vae.encoder for vae in pack.vaes] + [vae.decoder for vae in pack.vaes]
     assert [_cached_batches(layers) for layers in stacks] == [[]] * len(stacks)

@@ -8,7 +8,6 @@ import pytest
 
 from loco_pda.adaptation import (
     AdaptationConfig,
-    LabelMode,
     ModelPredictions,
     label_noise_experiment,
     retrain_baseline,
@@ -154,8 +153,7 @@ def test_budget_sweep_structure_and_unbounded_point(pipe0):
     stored = extract_activations(pipe0.mp, stream_x, labels=stream_y)
     direct = []
     for seed in (0, 1):
-        _, rep = retrain_baseline(pipe0.mp, stored, LabelMode.GROUND_TRUTH,
-                                  hyper=QUICK_BASELINE, seed=seed,
+        _, rep = retrain_baseline(pipe0.mp, stored, hyper=QUICK_BASELINE, seed=seed,
                                   val=scenario.target_val)
         direct.append(rep.post_accuracy)
     assert result.points[-1].per_seed == direct
@@ -217,6 +215,17 @@ def test_matrix_rejects_unknown_method(pipe0):
     scenario = pipe0.scenario()
     with pytest.raises(ValueError):
         run_experiment_matrix([("main", scenario)], methods=("replay",), seeds=(0,))
+
+
+def test_drivers_reject_empty_seeds(pipe0, uncond_pack_for):
+    """No seeds is a caller error, not a nan mean or an empty matrix."""
+    scenario = pipe0.scenario()
+    with pytest.raises(ValueError, match="no seeds"):
+        budget_sweep(scenario, [68], seeds=())
+    with pytest.raises(ValueError, match="no seeds"):
+        cond_vs_uncond(scenario, uncond_pack_for(0), seeds=())
+    with pytest.raises(ValueError, match="no seeds"):
+        run_experiment_matrix([("main", scenario)], seeds=())
 
 
 # --- scenario cache ---
