@@ -7,7 +7,7 @@ experiment comparing how the two degrade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -134,7 +134,8 @@ class AdaptationConfig:
     def __post_init__(self):
         if self.total_generated < 1:
             raise ValueError("total_generated must be >= 1")
-        if self.hyper.epochs < 1 or self.hyper.batch_size < 1 or self.hyper.lr < 0:
+        # not lr >= 0, rather than lr < 0, so that a nan rate is refused too
+        if self.hyper.epochs < 1 or self.hyper.batch_size < 1 or not self.hyper.lr >= 0:
             raise ValueError("retraining hyperparameters must be positive")
 
 
@@ -270,6 +271,9 @@ class Scenario:
     target_stream (the train split's rows of those classes) and target_val
     (the val split's) are (inputs, labels) pairs. They and the values derived
     from the stream are computed once and shared: their arrays are read-only.
+    The ground-truth retrainings that several experiments repeat are run once
+    per distinct argument set and their reports shared, so the fields must not
+    be reassigned after construction.
     """
 
     dataset: LabeledDataset
@@ -289,6 +293,7 @@ class Scenario:
             raise ValueError(f"target_classes {classes} has duplicates")
         self.target_stream = _read_only(*class_rows(ds.train_x, ds.train_y, classes))
         self.target_val = _read_only(*class_rows(ds.val_x, ds.val_y, classes))
+        self._reports: dict[tuple, AdaptationReport] = {}
 
     @cached_property
     def stored(self) -> ActivationBatch:
@@ -309,6 +314,35 @@ class Scenario:
                                              self.dataset.spec.num_classes)
         _read_only(dist.probs)
         return dist
+
+    @cached_property
+    def unadapted_accuracy(self) -> float:
+        """The pruned model's accuracy on target_val, before any retraining."""
+        return top1_accuracy(self.mp, *self.target_val)
+
+    def ground_truth_adaptation(self, cfg: AdaptationConfig, seed: int) -> AdaptationReport:
+        """adapt_classifier's report on true_dist, scored on target_val, run
+        once per seed, pool size, hyperparameters and label mode.
+
+        Only the report is kept, never the adapted model, and a run that
+        raises keeps nothing, so its next caller meets the error too."""
+        # repr tells apart floats that == does not, such as -0.0 and 0.0
+        key = ("loco", seed, cfg.total_generated, repr(astuple(cfg.hyper)), cfg.label_mode)
+        if key not in self._reports:
+            self._reports[key] = adapt_classifier(self.mp, self.cvae, self.true_dist, cfg,
+                                                  seed=seed, val=self.target_val)[1]
+        return self._reports[key]
+
+    def ground_truth_baseline(self, hyper: TrainHyper | None, seed: int) -> AdaptationReport:
+        """retrain_baseline's report on all stored rows and their true labels,
+        scored on target_val, run once per seed and hyperparameters; kept as
+        ground_truth_adaptation keeps its reports."""
+        hyper = hyper or replace(DEFAULT_BASELINE_HYPER)
+        key = ("baseline", seed, repr(astuple(hyper)))
+        if key not in self._reports:
+            self._reports[key] = retrain_baseline(self.mp, self.stored, hyper=hyper,
+                                                  seed=seed, val=self.target_val)[1]
+        return self._reports[key]
 
 
 @dataclass(frozen=True)
@@ -391,18 +425,15 @@ def label_noise_experiment(scenario: Scenario,
     noisy_dist = ClassDistribution.from_labels(noisy_y, s)
     certain_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
     noisy_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-    _, loco_cert = adapt_classifier(scenario.mp, scenario.cvae, scenario.true_dist,
-                                    certain_cfg, seed=scenario.seed, val=val)
+    loco_cert = scenario.ground_truth_adaptation(certain_cfg, scenario.seed)
     _, loco_noisy = adapt_classifier(scenario.mp, scenario.cvae, noisy_dist,
                                      noisy_cfg, seed=scenario.seed, val=val)
-    stored = scenario.stored
-    _, base_cert = retrain_baseline(scenario.mp, stored, hyper=baseline_hyper,
-                                    seed=scenario.seed, val=val)
-    _, base_noisy = retrain_baseline(scenario.mp, stored, hyper=baseline_hyper,
+    base_cert = scenario.ground_truth_baseline(baseline_hyper, scenario.seed)
+    _, base_noisy = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
                                      labels=noisy_y, seed=scenario.seed, val=val)
     return NoiseComparison(
         noise_kind=kind,
-        unadapted_accuracy=loco_cert.pre_accuracy,
+        unadapted_accuracy=scenario.unadapted_accuracy,
         loco_certain=loco_cert.post_accuracy,
         loco_noisy=loco_noisy.post_accuracy,
         baseline_certain=base_cert.post_accuracy,

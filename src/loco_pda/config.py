@@ -150,12 +150,13 @@ class PipelineConfig:
                 bad(f"scenario.{key} has duplicates")
         if not self.seeds:
             bad("scenario.seeds is empty")
-        if not self.sweep_budgets:
+        budgets = self.sweep_budgets
+        if not budgets:
             bad("sweep.budgets is empty")
-        if any(b <= 0 for b in self.sweep_budgets):
+        if any(b <= 0 for b in budgets):
             bad("sweep.budgets must be positive")
-        if list(self.sweep_budgets) != sorted(self.sweep_budgets):
-            bad("sweep.budgets must be ascending")
+        if any(a >= b for a, b in zip(budgets, budgets[1:])):
+            bad("sweep.budgets must be strictly ascending")
         if self.beta_every < 1:
             bad("cvae.beta_every must be >= 1")
         for f in fields(self):

@@ -216,35 +216,32 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
                  cfg: AdaptationConfig | None = None,
                  baseline_hyper: TrainHyper | None = None) -> SweepResult:
     """Baseline accuracy versus storage budget, with the no-retrain and
-    generated-pool reference lines. Budgets must ascend; a final unbounded
-    point is always appended. Budgets below one stored row short-circuit to
-    the no-retrain accuracy (nothing can be stored)."""
+    generated-pool reference lines. Budgets must strictly ascend; a final
+    unbounded point is always appended. Budgets below one stored row
+    short-circuit to the no-retrain accuracy (nothing can be stored)."""
     if any(b <= 0 for b in budgets):
         raise ValueError("budgets must be positive")
-    if list(budgets) != sorted(budgets):
-        raise ValueError("budgets must be ascending")
+    if any(a >= b for a, b in zip(budgets, budgets[1:])):
+        raise ValueError("budgets must be strictly ascending")
     if len(seeds) == 0:
         raise ValueError("no seeds to run")
     cfg = cfg or AdaptationConfig()
-    val, stored = scenario.target_val, scenario.stored
     row = stored_row_bytes(scenario.mp.meta.activation_dim)
-    no_retrain = top1_accuracy(scenario.mp, *val)
-    loco_accs = []
-    for seed in seeds:
-        _, rep = adapt_classifier(scenario.mp, scenario.cvae, scenario.true_dist, cfg,
-                                  seed=seed, val=val)
-        loco_accs.append(rep.post_accuracy)
-    loco_mean = float(np.mean(loco_accs))
+    no_retrain = scenario.unadapted_accuracy
+    loco_mean = float(np.mean([scenario.ground_truth_adaptation(cfg, seed).post_accuracy
+                               for seed in seeds]))
     points = []
     for budget in [*budgets, None]:
         if budget is not None and budget < row:
             per_seed = [no_retrain for _ in seeds]
+        elif budget is None:
+            per_seed = [scenario.ground_truth_baseline(baseline_hyper, seed).post_accuracy
+                        for seed in seeds]
         else:
-            per_seed = []
-            for seed in seeds:
-                _, rep = retrain_baseline(scenario.mp, stored, budget_bytes=budget,
-                                          hyper=baseline_hyper, seed=seed, val=val)
-                per_seed.append(rep.post_accuracy)
+            per_seed = [retrain_baseline(scenario.mp, scenario.stored, budget_bytes=budget,
+                                         hyper=baseline_hyper, seed=seed,
+                                         val=scenario.target_val)[1].post_accuracy
+                        for seed in seeds]
         points.append(SweepPoint(budget, per_seed, float(np.mean(per_seed))))
     crossover = None
     for p in points:
@@ -294,13 +291,11 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
     if len(seeds) == 0:
         raise ValueError("no seeds to run")
     cfg = cfg or AdaptationConfig()
-    val, dist = scenario.target_val, scenario.true_dist
     cond_accs, uncond_accs = [], []
     for seed in seeds:
-        _, rep_c = adapt_classifier(scenario.mp, scenario.cvae, dist, cfg,
-                                    seed=seed, val=val)
-        _, rep_u = adapt_classifier(scenario.mp, pack, dist, cfg,
-                                    seed=seed, val=val)
+        rep_c = scenario.ground_truth_adaptation(cfg, seed)
+        _, rep_u = adapt_classifier(scenario.mp, pack, scenario.true_dist, cfg,
+                                    seed=seed, val=scenario.target_val)
         cond_accs.append(rep_c.post_accuracy)
         uncond_accs.append(rep_u.post_accuracy)
     cond_bytes = model_memory_bytes(scenario.cvae)
@@ -311,7 +306,7 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
         accuracy_delta=float(np.mean(cond_accs) - np.mean(uncond_accs)),
         cond_bytes=cond_bytes, uncond_bytes=uncond_bytes,
         memory_ratio=uncond_bytes / cond_bytes,
-        no_retrain_accuracy=top1_accuracy(scenario.mp, *val),
+        no_retrain_accuracy=scenario.unadapted_accuracy,
     )
 
 
@@ -356,23 +351,22 @@ class ExperimentMatrix:
 
 def _run_cell(scenario: Scenario, method: str, seed: int, cfg: AdaptationConfig,
               baseline_hyper: TrainHyper | None) -> AdaptationReport:
-    val = scenario.target_val
-    estimated = method.endswith("estimated")
-    if method.startswith("baseline"):
+    if method == "baseline-ground-truth":
+        return scenario.ground_truth_baseline(baseline_hyper, seed)
+    if method == "loco-ground-truth":
+        return scenario.ground_truth_adaptation(
+            replace(cfg, label_mode=LabelMode.GROUND_TRUTH), seed)
+    if method == "baseline-estimated":
         _, report = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
-                                     labels=scenario.predictions if estimated else None,
-                                     seed=seed, val=val)
+                                     labels=scenario.predictions, seed=seed,
+                                     val=scenario.target_val)
         return report
-    if estimated:
-        # the deployed model's argmax frequencies, as estimate_domain counts them
-        dist = ClassDistribution.from_labels(scenario.predictions,
-                                             scenario.dataset.spec.num_classes)
-        cell_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-    else:
-        dist = scenario.true_dist
-        cell_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
-    _, report = adapt_classifier(scenario.mp, scenario.cvae, dist, cell_cfg, seed=seed,
-                                 val=val)
+    # the deployed model's argmax frequencies, as estimate_domain counts them
+    dist = ClassDistribution.from_labels(scenario.predictions,
+                                         scenario.dataset.spec.num_classes)
+    _, report = adapt_classifier(scenario.mp, scenario.cvae, dist,
+                                 replace(cfg, label_mode=LabelMode.ESTIMATED), seed=seed,
+                                 val=scenario.target_val)
     return report
 
 

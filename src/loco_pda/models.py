@@ -230,6 +230,9 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     n = x.shape[0]
     if n == 0:
         raise ValueError("no rows to train on")
+    if not hyper.lr >= 0:
+        # a nan rate would otherwise skip every update below yet log each epoch
+        raise ValueError(f"learning rate {hyper.lr} is not >= 0")
     if y.shape != (n,):
         raise ShapeError(f"labels shape {y.shape} does not match {n} rows")
     if y.min() < 0 or y.max() >= layers[-1].out_dim:

@@ -180,6 +180,14 @@ def test_adapt_lr_zero_keeps_classifier_bit_identical(pipe0):
     assert report.post_accuracy == report.pre_accuracy
 
 
+def test_adaptation_config_rejects_nan_learning_rate():
+    for lr in (float("nan"), -1e-6):
+        with pytest.raises(ValueError):
+            AdaptationConfig(hyper=TrainHyper(epochs=3, batch_size=32, lr=lr,
+                                              optimizer="sgd"))
+    assert AdaptationConfig(hyper=TrainHyper(epochs=3, batch_size=32, lr=0.0)).hyper.lr == 0
+
+
 def test_adapt_rejects_mismatched_generator(pipe0):
     from loco_pda.cvae import CvaeModel
     from loco_pda.numerics import make_rng

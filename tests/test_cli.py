@@ -124,7 +124,8 @@ def test_missing_input_exit_code(tiny):
 
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
-    for text in ("[dataset]\nclasses = one\n", "[scenario]\nextra_subsets = 3,3\n"):
+    for text in ("[dataset]\nclasses = one\n", "[scenario]\nextra_subsets = 3,3\n",
+                 "[sweep]\nbudgets = 68,68\n"):
         bad.write_text(text, encoding="utf-8")
         code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, text

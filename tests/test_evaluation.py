@@ -3,18 +3,33 @@ and the experiment matrix."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from loco_pda import adaptation
 from loco_pda.adaptation import (
     AdaptationConfig,
+    ClassDistribution,
+    LabelMode,
     ModelPredictions,
+    NoiseComparison,
+    SyntheticFlip,
+    adapt_classifier,
+    flip_labels,
     label_noise_experiment,
     retrain_baseline,
+    stored_row_bytes,
 )
+from loco_pda.errors import NumericError
 from loco_pda.evaluation import (
+    ExperimentMatrix,
     LedgerSpec,
+    MatrixCell,
     MemoryCategory,
+    SweepPoint,
+    SweepResult,
     build_ledger,
     budget_sweep,
     cond_vs_uncond,
@@ -167,6 +182,8 @@ def test_budget_sweep_rejects_bad_budgets(pipe0):
         budget_sweep(scenario, [100, 50], seeds=(0,))
     with pytest.raises(ValueError):
         budget_sweep(scenario, [0, 100], seeds=(0,))
+    with pytest.raises(ValueError, match="strictly ascending"):
+        budget_sweep(scenario, [68, 68], seeds=(0,))
 
 
 def test_budget_sweep_csv_shape(pipe0):
@@ -264,3 +281,146 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+# --- per-scenario reuse of ground-truth retrainings ---
+
+
+def _count_trainings(monkeypatch) -> list:
+    """Count classifier retrainings: every LoCO-PDA and baseline run makes
+    exactly one train_softmax_stack call."""
+    calls = []
+    original = adaptation.train_softmax_stack
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "train_softmax_stack", counting)
+    return calls
+
+
+def test_scenario_runs_each_ground_truth_retraining_once(pipe0, monkeypatch):
+    """The matrix, the sweep and the label-noise experiment on one scenario and
+    seed share the ground-truth LoCO-PDA run and the unbounded ground-truth
+    baseline; any argument that changes a report misses the memo."""
+    calls = _count_trainings(monkeypatch)
+    scenario = pipe0.scenario((0, 1, 2))
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
+                          baseline_hyper=QUICK_BASELINE)
+    assert len(calls) == 4
+    budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
+    assert len(calls) == 5          # only the 680-byte point is new
+    label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
+                           baseline_hyper=QUICK_BASELINE)
+    assert len(calls) == 7          # only the two noisy-label runs are new
+
+    first = scenario.ground_truth_adaptation(cfg, 0)
+    assert scenario.ground_truth_adaptation(replace(cfg), 0) is first
+    assert len(calls) == 7
+    misses = [
+        lambda: pipe0.scenario((0, 1, 2)).ground_truth_adaptation(cfg, 0),
+        lambda: scenario.ground_truth_adaptation(cfg, 1),
+        lambda: scenario.ground_truth_adaptation(
+            replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), 0),
+        lambda: scenario.ground_truth_adaptation(replace(cfg, total_generated=101), 0),
+        lambda: scenario.ground_truth_adaptation(
+            replace(cfg, label_mode=LabelMode.ESTIMATED), 0),
+        lambda: pipe0.scenario((0, 1, 2)).ground_truth_baseline(QUICK_BASELINE, 0),
+        lambda: scenario.ground_truth_baseline(QUICK_BASELINE, 1),
+        lambda: scenario.ground_truth_baseline(replace(QUICK_BASELINE, lr=2e-3), 0),
+    ]
+    for i, miss in enumerate(misses):
+        miss()
+        assert len(calls) == 8 + i, i
+    assert (scenario.ground_truth_adaptation(
+        replace(cfg, label_mode=LabelMode.ESTIMATED), 0).label_mode
+        is LabelMode.ESTIMATED)
+
+
+def test_scenario_does_not_keep_a_failed_retraining(pipe0, monkeypatch):
+    """A run that raises leaves nothing behind: every matrix cell records the
+    error, and each call runs again."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        raise NumericError("diverged")
+
+    monkeypatch.setattr(adaptation, "train_softmax_stack", failing)
+    scenario = pipe0.scenario((0, 1, 2))
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    for _ in range(2):
+        matrix = run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
+                                       methods=("loco-ground-truth",
+                                                "baseline-ground-truth"),
+                                       baseline_hyper=QUICK_BASELINE)
+        assert [c.error for c in matrix.cells] == ["NumericError: diverged"] * 2
+    assert len(calls) == 4
+
+
+def test_reused_reports_match_direct_runs_bit_for_bit(pipe0):
+    """The matrix, sweep and noise reports equal ones rebuilt from direct
+    adapt_classifier and retrain_baseline calls, as the drivers made them
+    before they shared runs."""
+    classes, seeds, budgets = (0, 1, 2), (0, 1), [50, 680]
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    scenario = pipe0.scenario(classes)
+    matrix = run_experiment_matrix([("main", scenario)], seeds=seeds, cfg=cfg,
+                                   baseline_hyper=QUICK_BASELINE)
+    sweep = budget_sweep(scenario, budgets, seeds=seeds, cfg=cfg,
+                         baseline_hyper=QUICK_BASELINE)
+    noise = label_noise_experiment(scenario, SyntheticFlip(0.2), cfg=cfg,
+                                   baseline_hyper=QUICK_BASELINE)
+
+    ds, mp = pipe0.dataset, pipe0.mp
+    train, val_mask = np.isin(ds.train_y, classes), np.isin(ds.val_y, classes)
+    val = (ds.val_x[val_mask], ds.val_y[val_mask])
+    stream_y = ds.train_y[train]
+    stored = extract_activations(mp, ds.train_x[train], labels=stream_y)
+    preds = pipe0.m0.predict(ds.train_x[train])
+    true_dist = ClassDistribution.from_labels(stream_y, 20)
+    gt_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
+    est_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
+
+    def loco(dist, c, seed):
+        return adapt_classifier(mp, pipe0.generator, dist, c, seed=seed, val=val)[1]
+
+    def base(seed, budget=None, labels=None):
+        return retrain_baseline(mp, stored, budget_bytes=budget, hyper=QUICK_BASELINE,
+                                labels=labels, seed=seed, val=val)[1]
+
+    cells = []
+    for seed in seeds:
+        cells += [
+            MatrixCell("main", "loco-ground-truth", seed, loco(true_dist, gt_cfg, seed)),
+            MatrixCell("main", "loco-estimated", seed,
+                       loco(ClassDistribution.from_labels(preds, 20), est_cfg, seed)),
+            MatrixCell("main", "baseline-ground-truth", seed, base(seed)),
+            MatrixCell("main", "baseline-estimated", seed, base(seed, labels=preds)),
+        ]
+    assert matrix.to_json_dict() == ExperimentMatrix(cells).to_json_dict()
+
+    no_retrain = top1_accuracy(mp, *val)
+    loco_mean = float(np.mean([loco(true_dist, cfg, s).post_accuracy for s in seeds]))
+    points = []
+    for budget in [*budgets, None]:
+        if budget is not None and budget < stored_row_bytes(mp.meta.activation_dim):
+            per_seed = [no_retrain] * len(seeds)
+        else:
+            per_seed = [base(s, budget).post_accuracy for s in seeds]
+        points.append(SweepPoint(budget, per_seed, float(np.mean(per_seed))))
+    crossover = next((p.budget_bytes for p in points[:-1]
+                      if p.mean_accuracy >= loco_mean), None)
+    want = SweepResult(points, no_retrain, loco_mean, crossover,
+                       model_memory_bytes(pipe0.generator))
+    assert sweep.to_json_dict() == want.to_json_dict()
+
+    noisy_y = flip_labels(stream_y, 0.2, 20, pipe0.seed)
+    cert = loco(true_dist, gt_cfg, pipe0.seed)
+    want = NoiseComparison(
+        "synthetic-flip-0.2", cert.pre_accuracy, cert.post_accuracy,
+        loco(ClassDistribution.from_labels(noisy_y, 20), est_cfg, pipe0.seed).post_accuracy,
+        base(pipe0.seed).post_accuracy, base(pipe0.seed, labels=noisy_y).post_accuracy)
+    assert noise.to_json_dict() == want.to_json_dict()

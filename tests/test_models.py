@@ -116,6 +116,16 @@ def test_train_lr_zero_is_exact_noop():
         np.testing.assert_array_equal(layer.bias, b)
 
 
+def test_train_rejects_nan_learning_rate():
+    """A nan rate would fail `lr > 0` and skip every update while still
+    logging each epoch, so it must be refused up front."""
+    ds = synth_dataset(SMALL)
+    model = build_mlp(make_rng(0), 8, (6,), 4)
+    with pytest.raises(ValueError, match="learning rate"):
+        train_softmax_stack(model.layers, ds.train_x, ds.train_y,
+                            TrainHyper(epochs=3, batch_size=32, lr=float("nan")), seed=0)
+
+
 def test_train_rejects_out_of_range_labels():
     ds = synth_dataset(SMALL)
     model = build_mlp(make_rng(0), 8, (6,), 4)
