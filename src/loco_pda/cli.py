@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,7 @@ class Context:
         self.seed = seed
         self.out = out
         self.cfg_hash = config_hash(cfg)
+        self._scenarios: dict[tuple[int, ...], Scenario] = {}
 
     def path(self, name: str) -> Path:
         return self.out / name
@@ -108,6 +110,24 @@ class Context:
                     f"(recorded {want[:12]}…, file {got[:12]}…)"
                 )
         return result
+
+    def scenario(self, classes) -> Scenario:
+        """The Scenario of this class subset, shared by every stage of this
+        invocation that asks for it, so the ground-truth retrainings one stage
+        ran are not run again by the next."""
+        classes = tuple(classes)
+        # built on first use: in run-all that is after every stage that writes
+        # the dataset and models, and no later stage rewrites them
+        if classes not in self._scenarios:
+            self._scenarios[classes] = Scenario(**self._scenario_inputs,
+                                                target_classes=classes, seed=self.seed)
+        return self._scenarios[classes]
+
+    @cached_property
+    def _scenario_inputs(self) -> dict:
+        """The dataset and the three models every Scenario shares, read once."""
+        return {"dataset": _load_dataset(self), "m0": _load_m0(self),
+                "mp": _load_mp(self), "cvae": _load_cvae(self)}
 
 
 def _sha256(path: Path) -> str:
@@ -178,14 +198,6 @@ def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch
 def _val_subset(ctx: Context):
     ds = _load_dataset(ctx)
     return adaptation.class_rows(ds.val_x, ds.val_y, ctx.cfg.target_classes)
-
-
-def _scenario(ctx: Context, seed: int | None = None) -> Scenario:
-    return Scenario(
-        dataset=_load_dataset(ctx), m0=_load_m0(ctx), mp=_load_mp(ctx),
-        cvae=_load_cvae(ctx), target_classes=tuple(ctx.cfg.target_classes),
-        seed=ctx.seed if seed is None else seed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +353,7 @@ def cmd_evaluate(ctx: Context, args) -> list[str]:
 
 
 def cmd_sweep_budget(ctx: Context, args) -> list[str]:
-    scenario = _scenario(ctx)
+    scenario = ctx.scenario(ctx.cfg.target_classes)
     result = evaluation.budget_sweep(
         scenario, list(ctx.cfg.sweep_budgets), seeds=ctx.cfg.seeds,
         cfg=ctx.cfg.adapt_config(), baseline_hyper=ctx.cfg.baseline_hyper())
@@ -351,7 +363,7 @@ def cmd_sweep_budget(ctx: Context, args) -> list[str]:
 
 
 def cmd_compare_uncond(ctx: Context, args) -> list[str]:
-    scenario = _scenario(ctx)
+    scenario = ctx.scenario(ctx.cfg.target_classes)
     pack = _load_pack(ctx)
     report = evaluation.cond_vs_uncond(scenario, pack, cfg=ctx.cfg.adapt_config(),
                                        seeds=ctx.cfg.seeds)
@@ -403,16 +415,8 @@ def cmd_run_all(ctx: Context, args) -> list[str]:
         stage_args = argparse.Namespace(**extra)
         written = fn(ctx, stage_args)
         _write_manifest(ctx, name, written)
-    subsets = [tuple(ctx.cfg.target_classes), *ctx.cfg.extra_subsets]
-    scenarios = []
-    ds, m0, mp_model, gen = (_load_dataset(ctx), _load_m0(ctx), _load_mp(ctx),
-                             _load_cvae(ctx))
-    for subset in subsets:
-        scenarios.append((
-            "classes-" + "-".join(str(c) for c in subset),
-            Scenario(dataset=ds, m0=m0, mp=mp_model, cvae=gen,
-                     target_classes=subset, seed=ctx.seed),
-        ))
+    scenarios = [("classes-" + "-".join(str(c) for c in subset), ctx.scenario(subset))
+                 for subset in [ctx.cfg.target_classes, *ctx.cfg.extra_subsets]]
     matrix = evaluation.run_experiment_matrix(
         scenarios, seeds=ctx.cfg.seeds, cfg=ctx.cfg.adapt_config(),
         baseline_hyper=ctx.cfg.baseline_hyper())

@@ -142,14 +142,23 @@ class PipelineConfig:
             bad("latent sizes must be >= 1")
         if self.adapt_r < 1:
             bad("adapt.r must be >= 1")
+        seen_subsets = set()
         for key, subset in [("target_classes", self.target_classes),
                             *(("extra_subsets", s) for s in self.extra_subsets)]:
             if not subset or any(c < 0 or c >= self.classes for c in subset):
                 bad(f"scenario.{key} must be nonempty and lie in [0, {self.classes})")
             if len(set(subset)) != len(subset):
                 bad(f"scenario.{key} has duplicates")
+            # the matrix would hold two scenarios with the same rows
+            if frozenset(subset) in seen_subsets:
+                bad(f"scenario.{key} repeats the class subset {subset}")
+            seen_subsets.add(frozenset(subset))
         if not self.seeds:
             bad("scenario.seeds is empty")
+        if any(s < 0 for s in self.seeds):
+            bad("scenario.seeds must be >= 0")
+        if len(set(self.seeds)) != len(self.seeds):
+            bad("scenario.seeds has duplicates")
         budgets = self.sweep_budgets
         if not budgets:
             bad("sweep.budgets is empty")

@@ -212,6 +212,15 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
+def _check_seeds(seeds) -> None:
+    """Each seed is one sample of every mean and one matrix cell per method,
+    so none may be missing or counted twice."""
+    if len(seeds) == 0:
+        raise ValueError("no seeds to run")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds {tuple(seeds)} repeat a seed")
+
+
 def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
                  cfg: AdaptationConfig | None = None,
                  baseline_hyper: TrainHyper | None = None) -> SweepResult:
@@ -223,8 +232,7 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
         raise ValueError("budgets must be positive")
     if any(a >= b for a, b in zip(budgets, budgets[1:])):
         raise ValueError("budgets must be strictly ascending")
-    if len(seeds) == 0:
-        raise ValueError("no seeds to run")
+    _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
     row = stored_row_bytes(scenario.mp.meta.activation_dim)
     no_retrain = scenario.unadapted_accuracy
@@ -288,8 +296,7 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
                    seeds=(0, 1, 2, 3, 4)) -> CondUncondReport:
     """Same adaptation run with the conditional generator and the per-class
     pack; reports the accuracy gap and the exact memory ratio."""
-    if len(seeds) == 0:
-        raise ValueError("no seeds to run")
+    _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
     cond_accs, uncond_accs = [], []
     for seed in seeds:
@@ -376,8 +383,7 @@ def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
                           baseline_hyper: TrainHyper | None = None) -> ExperimentMatrix:
     """Every (scenario, method, seed) cell, each holding a report or the error
     that prevented it."""
-    if len(seeds) == 0:
-        raise ValueError("no seeds to run")
+    _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
     cells = []
     for name, scenario in scenarios:

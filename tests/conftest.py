@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from loco_pda import cvae, models
+from loco_pda import adaptation, cvae, models
 from loco_pda.adaptation import Scenario
 
 DEFAULT_TARGETS = (0, 1, 2, 3, 4)
@@ -78,3 +78,18 @@ def uncond_pack_for():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def training_calls(monkeypatch) -> list:
+    """Count classifier retrainings: every LoCO-PDA and baseline run makes
+    exactly one train_softmax_stack call, appended here."""
+    calls = []
+    original = adaptation.train_softmax_stack
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "train_softmax_stack", counting)
+    return calls

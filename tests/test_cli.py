@@ -70,15 +70,18 @@ def run(cfg, out, *argv) -> int:
     return cli.main([*argv, "--config", str(cfg), "--out", str(out)])
 
 
+# the stages of run-all, as separate commands
+STAGE_CHAIN = [
+    ("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
+    ("train-cvae",), ("train-uncond",), ("estimate-domain",),
+    ("adapt", "--labels", "estimated"), ("baseline",), ("evaluate",),
+    ("sweep-budget",), ("compare-uncond",), ("memory-report",),
+]
+
+
 def test_full_command_chain(tiny, capsys):
     cfg, out = tiny
-    chain = [
-        ("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
-        ("train-cvae",), ("train-uncond",), ("estimate-domain",),
-        ("adapt", "--labels", "estimated"), ("baseline",), ("evaluate",),
-        ("sweep-budget",), ("compare-uncond",), ("memory-report",),
-    ]
-    for argv in chain:
+    for argv in STAGE_CHAIN:
         assert run(cfg, out, *argv) == 0, f"{argv[0]} failed"
     assert "wrote" in capsys.readouterr().out
     for name in [cli.DATA_TRAIN, cli.DATA_VAL, cli.TARGET_STREAM, cli.MODEL_M0,
@@ -125,7 +128,9 @@ def test_missing_input_exit_code(tiny):
 def test_bad_config_exit_code(tmp_path):
     bad = tmp_path / "bad.ini"
     for text in ("[dataset]\nclasses = one\n", "[scenario]\nextra_subsets = 3,3\n",
-                 "[sweep]\nbudgets = 68,68\n"):
+                 "[sweep]\nbudgets = 68,68\n", "[scenario]\nseeds = 0,0\n",
+                 "[scenario]\nseeds = -1\n", "[scenario]\nextra_subsets = 5,6; 6,5\n",
+                 "[scenario]\nextra_subsets = 4,3,2,1,0\n"):
         bad.write_text(text, encoding="utf-8")
         code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, text
@@ -249,3 +254,35 @@ def test_run_all_tiny_produces_matrix(tiny):
     for cell in matrix["cells"]:
         assert cell["error"] is None
     assert (out / "manifest_run-all.json").exists()
+
+
+def test_run_all_writes_what_the_stage_commands_write(tiny, tmp_path):
+    """run-all shares one Scenario across its stages; every file the stage
+    commands write one by one, manifests included, must come out the same."""
+    cfg, _ = tiny
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert run(cfg, whole, "run-all") == 0
+    for argv in STAGE_CHAIN:
+        assert run(cfg, staged, *argv) == 0, f"{argv[0]} failed"
+    staged_files = {p.name for p in staged.iterdir()}
+    assert ({p.name for p in whole.iterdir()}
+            == staged_files | {cli.MATRIX, "manifest_run-all.json"})
+    for name in sorted(staged_files):
+        assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
+
+
+def test_run_all_runs_each_ground_truth_retraining_once(tiny, training_calls):
+    """One run-all: adapt 1, baseline 1, sweep 4 (loco line, two budgets, the
+    unbounded point), compare-uncond 1 (the conditional line is the sweep's),
+    matrix 2 + 4 (the target subset's ground-truth cells are the sweep's).
+    Separate invocations share nothing, so each runs its own."""
+    cfg, out = tiny
+    calls = training_calls
+    assert run(cfg, out, "run-all") == 0
+    assert len(calls) == 13
+    calls.clear()
+    assert run(cfg, out, "sweep-budget") == 0
+    assert len(calls) == 4
+    calls.clear()
+    assert run(cfg, out, "compare-uncond") == 0
+    assert len(calls) == 2

@@ -235,14 +235,17 @@ def test_matrix_rejects_unknown_method(pipe0):
 
 
 def test_drivers_reject_empty_seeds(pipe0, uncond_pack_for):
-    """No seeds is a caller error, not a nan mean or an empty matrix."""
+    """No seeds is a caller error, not a nan mean or an empty matrix; so is a
+    repeated seed, which would count one sample twice in every mean and write
+    duplicate matrix cells."""
     scenario = pipe0.scenario()
-    with pytest.raises(ValueError, match="no seeds"):
-        budget_sweep(scenario, [68], seeds=())
-    with pytest.raises(ValueError, match="no seeds"):
-        cond_vs_uncond(scenario, uncond_pack_for(0), seeds=())
-    with pytest.raises(ValueError, match="no seeds"):
-        run_experiment_matrix([("main", scenario)], seeds=())
+    for seeds, match in (((), "no seeds"), ((0, 1, 0), "repeat")):
+        with pytest.raises(ValueError, match=match):
+            budget_sweep(scenario, [68], seeds=seeds)
+        with pytest.raises(ValueError, match=match):
+            cond_vs_uncond(scenario, uncond_pack_for(0), seeds=seeds)
+        with pytest.raises(ValueError, match=match):
+            run_experiment_matrix([("main", scenario)], seeds=seeds)
 
 
 # --- scenario cache ---
@@ -286,25 +289,11 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
 # --- per-scenario reuse of ground-truth retrainings ---
 
 
-def _count_trainings(monkeypatch) -> list:
-    """Count classifier retrainings: every LoCO-PDA and baseline run makes
-    exactly one train_softmax_stack call."""
-    calls = []
-    original = adaptation.train_softmax_stack
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(adaptation, "train_softmax_stack", counting)
-    return calls
-
-
-def test_scenario_runs_each_ground_truth_retraining_once(pipe0, monkeypatch):
+def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
     """The matrix, the sweep and the label-noise experiment on one scenario and
     seed share the ground-truth LoCO-PDA run and the unbounded ground-truth
     baseline; any argument that changes a report misses the memo."""
-    calls = _count_trainings(monkeypatch)
+    calls = training_calls
     scenario = pipe0.scenario((0, 1, 2))
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
     run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
