@@ -23,7 +23,7 @@ from .models import (
     extract_activations,
     train_softmax_stack,
 )
-from .numerics import DenseLayer, derive_rng, stage_key
+from .numerics import F32, DenseLayer, derive_rng, stage_key
 
 
 class LabelMode(Enum):
@@ -60,12 +60,6 @@ class ClassDistribution:
             raise LabelError(f"label out of range [0, {num_classes})")
         counts = np.bincount(labels, minlength=num_classes)
         return cls(counts / labels.size)
-
-    @classmethod
-    def point_mass(cls, cls_index: int, num_classes: int) -> "ClassDistribution":
-        probs = np.zeros(num_classes)
-        probs[cls_index] = 1.0
-        return cls(probs)
 
 
 def estimate_domain(m0: MlpModel, observed) -> ClassDistribution:
@@ -173,21 +167,57 @@ def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray,
-             labels: np.ndarray, hyper: TrainHyper, seed: int,
-             val) -> tuple[MlpModel, AdaptationReport]:
-    """Train a copy of mp's classifier on (feats, labels) and report it, scored
-    on val before and after. mp's feature extractor is shared, not trained."""
+             labels: np.ndarray, hyper: TrainHyper, seeds,
+             val) -> list[tuple[MlpModel, AdaptationReport]]:
+    """Train one copy of mp's classifier per seed, run k on (feats[k],
+    labels[k]), all in lockstep, and report each, scored on val before and
+    after. mp's feature extractor is shared, not trained."""
     fc = mp.fc_layer
-    fc_copy = DenseLayer(fc.weight.copy(), fc.bias.copy(), fc.activation)
-    adapted = MlpModel(mp.fe_layers + [fc_copy], mp.feature_boundary, replace(mp.meta))
-    pre = None if val is None else top1_accuracy(adapted, *val)
-    log = train_softmax_stack([fc_copy], feats, labels, hyper, seed=seed)
-    post = None if val is None else top1_accuracy(adapted, *val)
-    return adapted, AdaptationReport(
-        method=method, label_mode=label_mode,
-        class_counts=np.bincount(labels, minlength=mp.meta.num_classes).tolist(),
-        rows_used=len(labels), epochs_run=len(log), pre_accuracy=pre, post_accuracy=post,
-    )
+    k = len(seeds)
+    pre = None if val is None else top1_accuracy(mp, *val)
+    # a lone run trains unstacked: the same floats, fewer dimensions per numpy call
+    lead = (k,) if k > 1 else ()
+    fcs = DenseLayer(np.broadcast_to(fc.weight, lead + fc.weight.shape),
+                     np.broadcast_to(fc.bias, lead + fc.bias.shape), fc.activation)
+    train_softmax_stack([fcs], feats.reshape(lead + feats.shape[1:]),
+                        labels.reshape(lead + labels.shape[1:]), hyper,
+                        seed=seeds if lead else seeds[0])
+    post = [None] * k
+    if val is not None:
+        stacked = MlpModel(mp.fe_layers + [fcs], mp.feature_boundary, mp.meta)
+        post = np.reshape((stacked.predict(val[0]) == val[1]).mean(axis=-1), -1).tolist()
+    weights, biases = fcs.weight.reshape((k,) + fc.weight.shape), fcs.bias.reshape(k, -1)
+    return [(MlpModel(mp.fe_layers + [DenseLayer(weights[j], biases[j], fc.activation)],
+                      mp.feature_boundary, replace(mp.meta)),
+             AdaptationReport(
+                 method=method, label_mode=label_mode,
+                 class_counts=np.bincount(labels[j], minlength=mp.meta.num_classes).tolist(),
+                 rows_used=labels.shape[1], epochs_run=hyper.epochs, pre_accuracy=pre,
+                 post_accuracy=post[j]))
+            for j in range(k)]
+
+
+def adapt_classifier_seeds(mp: MlpModel, generator: CvaeModel | UncondVaePack,
+                           dist: ClassDistribution, cfg: AdaptationConfig | None = None,
+                           seeds=(0,), val=None) -> list[tuple[MlpModel, AdaptationReport]]:
+    """adapt_classifier once per seed, the runs trained in lockstep; returns
+    one (model, report) per seed, in seed order. The pools are decoded one
+    seed at a time, so the decode transient is one pool's, not K pools'."""
+    cfg = cfg or AdaptationConfig()
+    if (generator.a_dim != mp.meta.activation_dim
+            or generator.num_classes != mp.meta.num_classes):
+        raise ConfigError(
+            f"generator covers [{generator.num_classes} classes x {generator.a_dim} dims], "
+            f"model expects [{mp.meta.num_classes} x {mp.meta.activation_dim}]"
+        )
+    counts = allocate_counts(dist, cfg.total_generated)
+    pools = np.empty((len(seeds), cfg.total_generated, mp.meta.activation_dim), dtype=F32)
+    for j, seed in enumerate(seeds):
+        pool = generate_activations(generator, counts, seed=seed)
+        pools[j] = pool.features
+    # the counts fix the labels: every seed's pool has the same ones
+    labels = np.broadcast_to(pool.labels, pools.shape[:2])
+    return _retrain("loco", cfg.label_mode, mp, pools, labels, cfg.hyper, seeds, val)
 
 
 def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
@@ -199,22 +229,36 @@ def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
     and reused across all epochs. The feature extractor is untouched; the
     input model is not modified.
     """
-    cfg = cfg or AdaptationConfig()
-    if (generator.a_dim != mp.meta.activation_dim
-            or generator.num_classes != mp.meta.num_classes):
-        raise ConfigError(
-            f"generator covers [{generator.num_classes} classes x {generator.a_dim} dims], "
-            f"model expects [{mp.meta.num_classes} x {mp.meta.activation_dim}]"
-        )
-    pool = generate_activations(generator, allocate_counts(dist, cfg.total_generated),
-                                seed=seed)
-    return _retrain("loco", cfg.label_mode, mp, pool.features, pool.labels,
-                    cfg.hyper, seed, val)
+    return adapt_classifier_seeds(mp, generator, dist, cfg, seeds=(seed,), val=val)[0]
 
 
 def stored_row_bytes(a_dim: int) -> int:
     """One stored sample: a_dim f32 features plus a u32 label."""
     return a_dim * 4 + 4
+
+
+def retrain_baseline_seeds(mp: MlpModel, stored: ActivationBatch,
+                           budget_bytes: int | None = None,
+                           hyper: TrainHyper | None = None,
+                           labels: np.ndarray | None = None,
+                           seeds=(0,), val=None) -> list[tuple[MlpModel, AdaptationReport]]:
+    """retrain_baseline once per seed, the runs trained in lockstep; returns
+    one (model, report) per seed, in seed order."""
+    n = len(stored)
+    label_mode = LabelMode.GROUND_TRUTH if labels is None else LabelMode.ESTIMATED
+    labels = stored.labels if labels is None else np.asarray(labels, dtype=np.int64)
+    if labels is None:
+        raise LabelError("stored batch has no labels")
+    if labels.shape != (n,):
+        raise LabelError(f"labels shape {labels.shape} != ({n},)")
+    row_bytes = stored_row_bytes(stored.features.shape[1])
+    if budget_bytes is not None and budget_bytes < row_bytes:
+        raise ValueError(f"budget {budget_bytes} B is below one stored row ({row_bytes} B)")
+    used = n if budget_bytes is None else min(n, budget_bytes // row_bytes)
+    picks = np.stack([derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
+                      for seed in seeds])
+    return _retrain("baseline", label_mode, mp, stored.features[picks], labels[picks],
+                    hyper or replace(DEFAULT_BASELINE_HYPER), seeds, val)
 
 
 def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
@@ -230,20 +274,8 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
     labels, one per stored row (e.g. the deployed model's predictions),
     replace the stored labels and tag the report estimated.
     """
-    n = len(stored)
-    label_mode = LabelMode.GROUND_TRUTH if labels is None else LabelMode.ESTIMATED
-    labels = stored.labels if labels is None else np.asarray(labels, dtype=np.int64)
-    if labels is None:
-        raise LabelError("stored batch has no labels")
-    if labels.shape != (n,):
-        raise LabelError(f"labels shape {labels.shape} != ({n},)")
-    row_bytes = stored_row_bytes(stored.features.shape[1])
-    if budget_bytes is not None and budget_bytes < row_bytes:
-        raise ValueError(f"budget {budget_bytes} B is below one stored row ({row_bytes} B)")
-    used = n if budget_bytes is None else min(n, budget_bytes // row_bytes)
-    pick = derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
-    return _retrain("baseline", label_mode, mp, stored.features[pick], labels[pick],
-                    hyper or replace(DEFAULT_BASELINE_HYPER), seed, val)
+    return retrain_baseline_seeds(mp, stored, budget_bytes, hyper, labels,
+                                  seeds=(seed,), val=val)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +305,8 @@ class Scenario:
     from the stream are computed once and shared: their arrays are read-only.
     The ground-truth retrainings that several experiments repeat are run once
     per distinct argument set and their reports shared, so the fields must not
-    be reassigned after construction.
+    be reassigned after construction. A request for several seeds trains all
+    the missing ones as one lockstep group.
     """
 
     dataset: LabeledDataset
@@ -320,29 +353,37 @@ class Scenario:
         """The pruned model's accuracy on target_val, before any retraining."""
         return top1_accuracy(self.mp, *self.target_val)
 
-    def ground_truth_adaptation(self, cfg: AdaptationConfig, seed: int) -> AdaptationReport:
-        """adapt_classifier's report on true_dist, scored on target_val, run
-        once per seed, pool size, hyperparameters and label mode.
+    def _memo(self, keys, seeds, run) -> list[AdaptationReport]:
+        """The report of each (key, seed), in order; the missing seeds are
+        trained by one call run(missing seeds), as one lockstep group.
 
-        Only the report is kept, never the adapted model, and a run that
+        Only reports are kept, never the adapted models, and a group that
         raises keeps nothing, so its next caller meets the error too."""
-        # repr tells apart floats that == does not, such as -0.0 and 0.0
-        key = ("loco", seed, cfg.total_generated, repr(astuple(cfg.hyper)), cfg.label_mode)
-        if key not in self._reports:
-            self._reports[key] = adapt_classifier(self.mp, self.cvae, self.true_dist, cfg,
-                                                  seed=seed, val=self.target_val)[1]
-        return self._reports[key]
+        missing = [(key, seed) for key, seed in zip(keys, seeds) if key not in self._reports]
+        if missing:
+            runs = run([seed for _, seed in missing])
+            for (key, _), (_, report) in zip(missing, runs):
+                self._reports[key] = report
+        return [self._reports[key] for key in keys]
 
-    def ground_truth_baseline(self, hyper: TrainHyper | None, seed: int) -> AdaptationReport:
-        """retrain_baseline's report on all stored rows and their true labels,
-        scored on target_val, run once per seed and hyperparameters; kept as
-        ground_truth_adaptation keeps its reports."""
+    def ground_truth_adaptation(self, cfg: AdaptationConfig, seeds) -> list[AdaptationReport]:
+        """adapt_classifier's report on true_dist for each seed, scored on
+        target_val, run once per seed, pool size, hyperparameters and label
+        mode."""
+        # repr tells apart floats that == does not, such as -0.0 and 0.0
+        keys = [("loco", seed, cfg.total_generated, repr(astuple(cfg.hyper)), cfg.label_mode)
+                for seed in seeds]
+        return self._memo(keys, seeds, lambda group: adapt_classifier_seeds(
+            self.mp, self.cvae, self.true_dist, cfg, seeds=group, val=self.target_val))
+
+    def ground_truth_baseline(self, hyper: TrainHyper | None, seeds) -> list[AdaptationReport]:
+        """retrain_baseline's report on all stored rows and their true labels
+        for each seed, scored on target_val, run once per seed and
+        hyperparameters."""
         hyper = hyper or replace(DEFAULT_BASELINE_HYPER)
-        key = ("baseline", seed, repr(astuple(hyper)))
-        if key not in self._reports:
-            self._reports[key] = retrain_baseline(self.mp, self.stored, hyper=hyper,
-                                                  seed=seed, val=self.target_val)[1]
-        return self._reports[key]
+        keys = [("baseline", seed, repr(astuple(hyper))) for seed in seeds]
+        return self._memo(keys, seeds, lambda group: retrain_baseline_seeds(
+            self.mp, self.stored, hyper=hyper, seeds=group, val=self.target_val))
 
 
 @dataclass(frozen=True)
@@ -425,10 +466,10 @@ def label_noise_experiment(scenario: Scenario,
     noisy_dist = ClassDistribution.from_labels(noisy_y, s)
     certain_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
     noisy_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-    loco_cert = scenario.ground_truth_adaptation(certain_cfg, scenario.seed)
+    loco_cert, = scenario.ground_truth_adaptation(certain_cfg, (scenario.seed,))
     _, loco_noisy = adapt_classifier(scenario.mp, scenario.cvae, noisy_dist,
                                      noisy_cfg, seed=scenario.seed, val=val)
-    base_cert = scenario.ground_truth_baseline(baseline_hyper, scenario.seed)
+    base_cert, = scenario.ground_truth_baseline(baseline_hyper, (scenario.seed,))
     _, base_noisy = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
                                      labels=noisy_y, seed=scenario.seed, val=val)
     return NoiseComparison(

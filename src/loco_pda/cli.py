@@ -442,6 +442,13 @@ COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """--seed's type: the RNG seeds accept only non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loco-pda",
@@ -452,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="config file (defaults built in)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default $LOCO_PDA_OUT or ./loco_out)")
         if name == "estimate-domain":

@@ -54,13 +54,6 @@ def kl_diag_gauss(mu: np.ndarray, logvar: np.ndarray):
     return kl, grad_mu, grad_logvar
 
 
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """z = mu + exp(logvar / 2) * noise, with noise supplied by the caller."""
-    if noise.shape != mu.shape:
-        raise ShapeError(f"noise shape {noise.shape} does not match {mu.shape}")
-    return mu + np.exp(0.5 * logvar) * noise
-
-
 @dataclass(frozen=True)
 class BetaSchedule:
     """Staircase annealing: start + step per every_epochs, clipped at max_value."""

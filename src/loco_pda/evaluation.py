@@ -19,8 +19,8 @@ from .adaptation import (
     ClassDistribution,
     LabelMode,
     Scenario,
-    adapt_classifier,
-    retrain_baseline,
+    adapt_classifier_seeds,
+    retrain_baseline_seeds,
     stored_row_bytes,
     top1_accuracy,
 )
@@ -135,39 +135,6 @@ def build_ledger(spec: LedgerSpec) -> MemoryLedger:
 
 
 # ---------------------------------------------------------------------------
-# Rank correlation (for the budget-sweep monotonicity check)
-# ---------------------------------------------------------------------------
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks, ties shared."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(xs, ys) -> float:
-    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
-        raise ValueError("need two equal-length 1-D sequences of size >= 2")
-    rx, ry = _ranks(xs), _ranks(ys)
-    rx -= rx.mean()
-    ry -= ry.mean()
-    denom = float(np.sqrt((rx * rx).sum() * (ry * ry).sum()))
-    if denom == 0:
-        return 0.0
-    return float((rx * ry).sum() / denom)
-
-
-# ---------------------------------------------------------------------------
 # Budget sweep
 # ---------------------------------------------------------------------------
 
@@ -236,20 +203,19 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
     cfg = cfg or AdaptationConfig()
     row = stored_row_bytes(scenario.mp.meta.activation_dim)
     no_retrain = scenario.unadapted_accuracy
-    loco_mean = float(np.mean([scenario.ground_truth_adaptation(cfg, seed).post_accuracy
-                               for seed in seeds]))
+    loco_mean = float(np.mean([r.post_accuracy
+                               for r in scenario.ground_truth_adaptation(cfg, seeds)]))
     points = []
     for budget in [*budgets, None]:
         if budget is not None and budget < row:
             per_seed = [no_retrain for _ in seeds]
         elif budget is None:
-            per_seed = [scenario.ground_truth_baseline(baseline_hyper, seed).post_accuracy
-                        for seed in seeds]
+            per_seed = [r.post_accuracy
+                        for r in scenario.ground_truth_baseline(baseline_hyper, seeds)]
         else:
-            per_seed = [retrain_baseline(scenario.mp, scenario.stored, budget_bytes=budget,
-                                         hyper=baseline_hyper, seed=seed,
-                                         val=scenario.target_val)[1].post_accuracy
-                        for seed in seeds]
+            per_seed = [r.post_accuracy for _, r in retrain_baseline_seeds(
+                scenario.mp, scenario.stored, budget_bytes=budget, hyper=baseline_hyper,
+                seeds=seeds, val=scenario.target_val)]
         points.append(SweepPoint(budget, per_seed, float(np.mean(per_seed))))
     crossover = None
     for p in points:
@@ -298,13 +264,9 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
     pack; reports the accuracy gap and the exact memory ratio."""
     _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
-    cond_accs, uncond_accs = [], []
-    for seed in seeds:
-        rep_c = scenario.ground_truth_adaptation(cfg, seed)
-        _, rep_u = adapt_classifier(scenario.mp, pack, scenario.true_dist, cfg,
-                                    seed=seed, val=scenario.target_val)
-        cond_accs.append(rep_c.post_accuracy)
-        uncond_accs.append(rep_u.post_accuracy)
+    cond_accs = [r.post_accuracy for r in scenario.ground_truth_adaptation(cfg, seeds)]
+    uncond_accs = [r.post_accuracy for _, r in adapt_classifier_seeds(
+        scenario.mp, pack, scenario.true_dist, cfg, seeds=seeds, val=scenario.target_val)]
     cond_bytes = model_memory_bytes(scenario.cvae)
     uncond_bytes = model_memory_bytes(pack)
     return CondUncondReport(
@@ -356,25 +318,26 @@ class ExperimentMatrix:
             self.cells, key=lambda c: (c.scenario_name, c.method, c.seed))]}
 
 
-def _run_cell(scenario: Scenario, method: str, seed: int, cfg: AdaptationConfig,
-              baseline_hyper: TrainHyper | None) -> AdaptationReport:
+def _run_group(scenario: Scenario, method: str, seeds, cfg: AdaptationConfig,
+               baseline_hyper: TrainHyper | None) -> list[AdaptationReport]:
+    """One method's reports for every seed, trained as one lockstep group."""
     if method == "baseline-ground-truth":
-        return scenario.ground_truth_baseline(baseline_hyper, seed)
+        return scenario.ground_truth_baseline(baseline_hyper, seeds)
     if method == "loco-ground-truth":
         return scenario.ground_truth_adaptation(
-            replace(cfg, label_mode=LabelMode.GROUND_TRUTH), seed)
+            replace(cfg, label_mode=LabelMode.GROUND_TRUTH), seeds)
     if method == "baseline-estimated":
-        _, report = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
-                                     labels=scenario.predictions, seed=seed,
-                                     val=scenario.target_val)
-        return report
-    # the deployed model's argmax frequencies, as estimate_domain counts them
-    dist = ClassDistribution.from_labels(scenario.predictions,
-                                         scenario.dataset.spec.num_classes)
-    _, report = adapt_classifier(scenario.mp, scenario.cvae, dist,
-                                 replace(cfg, label_mode=LabelMode.ESTIMATED), seed=seed,
-                                 val=scenario.target_val)
-    return report
+        runs = retrain_baseline_seeds(scenario.mp, scenario.stored, hyper=baseline_hyper,
+                                      labels=scenario.predictions, seeds=seeds,
+                                      val=scenario.target_val)
+    else:
+        # the deployed model's argmax frequencies, as estimate_domain counts them
+        dist = ClassDistribution.from_labels(scenario.predictions,
+                                             scenario.dataset.spec.num_classes)
+        runs = adapt_classifier_seeds(scenario.mp, scenario.cvae, dist,
+                                      replace(cfg, label_mode=LabelMode.ESTIMATED),
+                                      seeds=seeds, val=scenario.target_val)
+    return [report for _, report in runs]
 
 
 def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
@@ -382,7 +345,8 @@ def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
                           cfg: AdaptationConfig | None = None,
                           baseline_hyper: TrainHyper | None = None) -> ExperimentMatrix:
     """Every (scenario, method, seed) cell, each holding a report or the error
-    that prevented it."""
+    that prevented it. A scenario's seeds train each method as one lockstep
+    group, so an error in that group is recorded in every one of its cells."""
     _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
     cells = []
@@ -390,11 +354,13 @@ def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
         for method in methods:
             if method not in MATRIX_METHODS:
                 raise ValueError(f"unknown method '{method}'")
-            for seed in seeds:
-                cell = MatrixCell(name, method, seed)
-                try:
-                    cell.report = _run_cell(scenario, method, seed, cfg, baseline_hyper)
-                except LocoError as exc:
+            group = [MatrixCell(name, method, seed) for seed in seeds]
+            try:
+                for cell, report in zip(group, _run_group(scenario, method, seeds, cfg,
+                                                          baseline_hyper)):
+                    cell.report = report
+            except LocoError as exc:
+                for cell in group:
                     cell.error = f"{type(exc).__name__}: {exc}"
-                cells.append(cell)
+            cells += group
     return ExperimentMatrix(cells)

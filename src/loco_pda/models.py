@@ -163,7 +163,7 @@ class MlpModel:
         return stack_forward(self.layers, x, keep=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.forward(x), axis=1)
+        return np.argmax(self.forward(x), axis=-1)
 
     def named_params(self) -> dict[str, np.ndarray]:
         return stack_params(self.layers)
@@ -218,55 +218,73 @@ def _make_optimizer(hyper: TrainHyper):
 
 
 def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
-                        hyper: TrainHyper, seed: int,
-                        val: tuple[np.ndarray, np.ndarray] | None = None) -> list[EpochStats]:
+                        hyper: TrainHyper, seed,
+                        val: tuple[np.ndarray, np.ndarray] | None = None):
     """Minibatch cross-entropy training of a layer stack, in place.
 
     Shuffles per epoch with a seed-derived stream, keeps the final partial
     batch, and skips all updates when lr == 0 so a zero rate is exactly a
-    no-op.
+    no-op. Returns one EpochStats per epoch.
+
+    With a leading stack axis, K runs of one shape and one hyper train in
+    lockstep: layers of stacked weights [K x out x in], x [K x n x d], y
+    [K x n], one seed per run in seed, and one list of EpochStats per run
+    returned. Each run rounds every float as it would alone. val's inputs
+    are then either shared, [m x d], or one set per run, [K x m x d].
     """
     y = np.asarray(y)
-    n = x.shape[0]
+    seeds = [seed] if x.ndim == 2 else list(seed)
+    n = x.shape[-2]
     if n == 0:
         raise ValueError("no rows to train on")
     if not hyper.lr >= 0:
         # a nan rate would otherwise skip every update below yet log each epoch
         raise ValueError(f"learning rate {hyper.lr} is not >= 0")
-    if y.shape != (n,):
-        raise ShapeError(f"labels shape {y.shape} does not match {n} rows")
+    if y.shape != x.shape[:-1]:
+        raise ShapeError(f"labels shape {y.shape} does not match {x.shape[:-1]} rows")
+    if x.ndim == 3 and len(seeds) != x.shape[0]:
+        raise ValueError(f"{len(seeds)} seeds for {x.shape[0]} stacked runs")
     if y.min() < 0 or y.max() >= layers[-1].out_dim:
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
     flat = FlatParams(stack_params(layers))
     set_stack_params(layers, flat.views)
     grads = stack_pairs(flat.grad_views, len(layers))
-    rng = derive_rng(seed, stage_key("shuffle"))
-    pred = np.empty(n, dtype=np.intp)
-    log = []
+    rngs = [derive_rng(s, stage_key("shuffle")) for s in seeds]
+    # the flat row index of each run's first row, so that one take per epoch
+    # gathers every run's rows in its shuffled order
+    first = np.arange(0, y.size, n).reshape(y.shape[:-1] + (1,))
+    starts = range(0, n, hyper.batch_size)
+    sizes = np.array([min(hyper.batch_size, n - start) for start in starts], dtype=np.float64)
+    batch_loss = np.empty((len(starts), len(seeds)), dtype=F32)
+    pred = np.empty(y.shape, dtype=np.intp)
+    logs = [[] for _ in seeds]
     for epoch in range(hyper.epochs):
-        perm = rng.permutation(n)
-        losses = []
-        for start in range(0, n, hyper.batch_size):
+        rows = np.stack([rng.permutation(n) for rng in rngs]).reshape(y.shape) + first
+        xs = x.reshape(-1, x.shape[-1]).take(rows, axis=0)
+        ys = y.reshape(-1).take(rows)
+        for i, start in enumerate(starts):
             end = start + hyper.batch_size
-            idx = perm[start:end]
-            by = y[idx]
-            logits = stack_forward(layers, x[idx], keep=optimizer is not None)
-            loss, grad = softmax_xent(logits, by)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {start // hyper.batch_size}")
-            np.argmax(logits, axis=1, out=pred[start:end])
-            losses.append(loss * len(by))
+            logits = stack_forward(layers, xs[..., start:end, :], keep=optimizer is not None)
+            batch_loss[i], grad, pred[..., start:end] = softmax_xent(logits, ys[..., start:end])
+            # a float sum of float32 losses cannot overflow: it is finite
+            # exactly when every run's loss is
+            if not math.isfinite(sum(batch_loss[i].tolist())):
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch {i}")
             if optimizer is not None:
                 stack_backward(layers, grad, need_input_grad=False, out=grads)
                 flat.step(optimizer, epoch)
-        hits = int(np.count_nonzero(pred == y[perm]))
-        val_acc = None
+        hits = np.count_nonzero(pred == ys, axis=-1).reshape(-1).tolist()
+        # per run, the float sum of loss * batch rows, added in batch order
+        weighted = (batch_loss * sizes[:, None]).T.tolist()
+        val_acc = [None] * len(seeds)
         if val is not None:
             val_logits = stack_forward(layers, val[0], keep=False)
-            val_acc = float((np.argmax(val_logits, axis=1) == val[1]).mean())
-        log.append(EpochStats(epoch, sum(losses) / n, hits / n, val_acc))
-    return log
+            hit_rate = (np.argmax(val_logits, axis=-1) == val[1]).mean(axis=-1)
+            val_acc = hit_rate.reshape(-1).tolist()
+        for log, loss_sum, hit, acc in zip(logs, weighted, hits, val_acc):
+            log.append(EpochStats(epoch, sum(loss_sum) / n, hit / n, acc))
+    return logs[0] if x.ndim == 2 else logs
 
 
 DEFAULT_FEATURE_WIDTHS = (64, 32, 16)

@@ -2,8 +2,7 @@
 
 Everything trains in float32 with hand-derived gradients; there is no autodiff
 graph. A training forward caches each layer's input and output until the
-following backward call. The gradient checker upcasts to float64 so the
-finite-difference oracle is not swamped by float32 rounding.
+following backward call.
 """
 
 from __future__ import annotations
@@ -82,14 +81,18 @@ class Activation(IntEnum):
 class DenseLayer:
     """Fully connected layer: out = act(x @ W.T + b).
 
-    weight is [out_dim x in_dim], bias is [out_dim]. forward can cache its
-    input and output for one following backward call, which consumes them.
+    weight is [out_dim x in_dim], bias is [out_dim]. An optional leading stack
+    axis, weight [K x out_dim x in_dim] and bias [K x out_dim], holds K layers
+    of one shape that train in lockstep: each maps its own slice of a
+    [K x batch x in_dim] input, or all map one shared [batch x in_dim] input.
+    forward can cache its input and output for one following backward call,
+    which consumes them.
     """
 
     def __init__(self, weight: np.ndarray, bias: np.ndarray, activation: Activation):
         weight = np.asarray(weight)
         bias = np.asarray(bias)
-        if weight.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weight.shape[0]:
+        if weight.ndim not in (2, 3) or bias.shape != weight.shape[:-1]:
             raise ShapeError(
                 f"inconsistent layer shapes: weight {weight.shape}, bias {bias.shape}"
             )
@@ -113,18 +116,19 @@ class DenseLayer:
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         """keep caches x and the output for backward: modify neither until then."""
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim < 2 or x.shape[-1] != self.in_dim or x.shape[:-2] not in (
+                (), self.weight.shape[:-2]):
             raise ShapeError(f"layer expects [batch x {self.in_dim}], got {x.shape}")
-        out = x @ self.weight.T  # bias and ReLU go in place: one batch-sized array
-        out += self.bias
+        out = x @ self.weight.mT  # bias and ReLU go in place: one batch-sized array
+        out += self.bias[..., None, :]
         if self.activation == Activation.RELU:
             np.maximum(out, 0, out=out)
         if keep:
@@ -139,18 +143,17 @@ class DenseLayer:
         x, y = self._x, self._out
         if x is None:
             raise StateError("backward called before forward")
-        if grad_out.shape != (x.shape[0], self.out_dim):
+        if grad_out.shape != y.shape:
             raise ShapeError(
-                f"grad_out shape {grad_out.shape} does not match cached forward "
-                f"({x.shape[0]}, {self.out_dim})"
+                f"grad_out shape {grad_out.shape} does not match cached forward {y.shape}"
             )
         self._x = self._out = None
         if self.activation == Activation.RELU:
             # y > 0 exactly where the pre-activation is; subgradient at 0 is 0
             grad_out = grad_out * (y > 0)
         gw, gb = (None, None) if out is None else out
-        grad_w = np.matmul(grad_out.T, x, out=gw)
-        grad_b = grad_out.sum(axis=0, out=gb)
+        grad_w = np.matmul(grad_out.mT, x, out=gw)
+        grad_b = grad_out.sum(axis=-2, out=gb)
         grad_in = grad_out @ self.weight if need_input_grad else None
         return grad_in, grad_w, grad_b
 
@@ -219,23 +222,34 @@ def softmax_xent_loss(logits: np.ndarray, labels: np.ndarray):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise LabelError(f"label out of range [0, {num_classes})")
-    return softmax_xent(logits, labels)
+    loss, grad, _ = softmax_xent(logits, labels)
+    return float(loss), grad
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """softmax_xent_loss on labels already checked: one exp and one row sum
-    serve both the loss and the gradient."""
-    batch = logits.shape[0]
-    rows = np.arange(batch)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """softmax_xent_loss on labels already checked, plus each row's argmax.
+    Returns (loss, grad_logits, argmax).
+
+    The argmax also gives the row maximum that the exp is shifted by (a
+    maximum is exact however it is found), and one exp and one row sum serve
+    both the loss and the gradient. logits may carry a leading stack axis,
+    [K x batch x classes] with labels [K x batch]; the loss, a float32 array,
+    then holds one mean per run."""
+    batch, classes = logits.shape[-2:]
+    # flat offsets of each row's first entry: entries are read and written
+    # by 1-D take and put, not by a [rows, labels] fancy index
+    rows = np.arange(0, logits.size, classes).reshape(labels.shape)
+    top = logits.argmax(axis=-1)
+    shifted = logits - logits.take(rows + top)[..., None]
     e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
+    rows += labels
     # a float sum / batch rounds like np.mean, which divides in float64
-    loss = float((np.log(z[:, 0]) - shifted[rows, labels]).sum() / batch)
+    loss = (np.log(z[..., 0]) - shifted.take(rows)).sum(axis=-1) / batch
     e /= z  # the softmax, turned in place into the gradient
-    e[rows, labels] -= 1
+    e.put(rows, e.take(rows) - 1)
     e /= batch
-    return loss, e
+    return loss, e, top
 
 
 # ---------------------------------------------------------------------------
@@ -374,43 +388,3 @@ class Adam(_Optimizer):
             u += self.eps
             s /= u
             param -= s
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def gradcheck(loss_fn, params: dict[str, np.ndarray], h: float = 1e-3,
-              max_entries: int = 64, seed: int = 0) -> float:
-    """Worst relative error between analytic and central-difference gradients.
-
-    loss_fn(params) must return (loss, grads) for float64 parameter dicts; the
-    float32 inputs are upcast here so finite-difference noise stays far below
-    the tolerances being checked. Parameters larger than max_entries are
-    spot-checked on a seeded sample of coordinates.
-    """
-    params64 = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
-    _, analytic = loss_fn(params64)
-    rng = make_rng(seed)
-    worst = 0.0
-    for name, base in params64.items():
-        flat = base.reshape(-1)
-        n = flat.size
-        if n <= max_entries:
-            idx = np.arange(n)
-        else:
-            idx = rng.choice(n, size=max_entries, replace=False)
-        grad_flat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
-        for i in idx:
-            orig = flat[i]
-            flat[i] = orig + h
-            up, _ = loss_fn(params64)
-            flat[i] = orig - h
-            down, _ = loss_fn(params64)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            a = grad_flat[i]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -82,14 +82,15 @@ def rng():
 
 @pytest.fixture()
 def training_calls(monkeypatch) -> list:
-    """Count classifier retrainings: every LoCO-PDA and baseline run makes
-    exactly one train_softmax_stack call, appended here."""
+    """Count classifier retrainings: each train_softmax_stack call appends
+    how many runs it trains, 1 or the K of a lockstep group. sum() counts
+    the LoCO-PDA and baseline runs, len() the trainer calls."""
     calls = []
     original = adaptation.train_softmax_stack
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(layers, x, *args, **kwargs):
+        calls.append(1 if x.ndim == 2 else x.shape[0])
+        return original(layers, x, *args, **kwargs)
 
     monkeypatch.setattr(adaptation, "train_softmax_stack", counting)
     return calls

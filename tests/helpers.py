@@ -1,0 +1,78 @@
+"""Helpers that only the tests use: a finite-difference gradient checker,
+Spearman rank correlation and a one-class distribution."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from loco_pda.adaptation import ClassDistribution
+from loco_pda.numerics import make_rng
+
+
+def gradcheck(loss_fn, params: dict[str, np.ndarray], h: float = 1e-3,
+              max_entries: int = 64, seed: int = 0) -> float:
+    """Worst relative error between analytic and central-difference gradients.
+
+    loss_fn(params) must return (loss, grads) for float64 parameter dicts; the
+    float32 inputs are upcast here so finite-difference noise stays far below
+    the tolerances being checked. Parameters larger than max_entries are
+    spot-checked on a seeded sample of coordinates.
+    """
+    params64 = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
+    _, analytic = loss_fn(params64)
+    rng = make_rng(seed)
+    worst = 0.0
+    for name, base in params64.items():
+        flat = base.reshape(-1)
+        n = flat.size
+        if n <= max_entries:
+            idx = np.arange(n)
+        else:
+            idx = rng.choice(n, size=max_entries, replace=False)
+        grad_flat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
+        for i in idx:
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = loss_fn(params64)
+            flat[i] = orig - h
+            down, _ = loss_fn(params64)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            a = grad_flat[i]
+            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Average ranks, ties shared."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman_rho(xs, ys) -> float:
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
+        raise ValueError("need two equal-length 1-D sequences of size >= 2")
+    rx, ry = _ranks(xs), _ranks(ys)
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = float(np.sqrt((rx * rx).sum() * (ry * ry).sum()))
+    if denom == 0:
+        return 0.0
+    return float((rx * ry).sum() / denom)
+
+
+def point_mass(cls_index: int, num_classes: int) -> ClassDistribution:
+    probs = np.zeros(num_classes)
+    probs[cls_index] = 1.0
+    return ClassDistribution(probs)

@@ -39,14 +39,12 @@ from loco_pda.evaluation import (
     build_ledger,
     budget_sweep,
     cond_vs_uncond,
-    spearman_rho,
     training_runtime_bytes,
 )
 from loco_pda.models import extract_activations, model_memory_bytes
 from loco_pda.numerics import (
     Activation,
     DenseLayer,
-    gradcheck,
     make_rng,
     mse_loss,
     one_hot,
@@ -54,6 +52,8 @@ from loco_pda.numerics import (
     stack_backward,
     stack_forward,
 )
+
+from helpers import gradcheck, spearman_rho
 
 SEEDS = (0, 1, 2, 3, 4)
 

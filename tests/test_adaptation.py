@@ -22,6 +22,8 @@ from loco_pda.adaptation import (
 from loco_pda.errors import ConfigError, LabelError
 from loco_pda.models import ActivationBatch, TrainHyper, extract_activations
 
+from helpers import point_mass
+
 
 QUICK_ADAPT = AdaptationConfig(
     total_generated=500,
@@ -54,7 +56,7 @@ def test_distribution_from_labels_and_support():
 
 
 def test_point_mass():
-    dist = ClassDistribution.point_mass(3, 6)
+    dist = point_mass(3, 6)
     assert dist.probs[3] == 1.0
     np.testing.assert_array_equal(dist.support, [3])
 
@@ -193,7 +195,7 @@ def test_adapt_rejects_mismatched_generator(pipe0):
     from loco_pda.numerics import make_rng
     wrong = CvaeModel.create(make_rng(0), a_dim=8, num_classes=20, z_dim=2,
                              enc_widths=(8,), dec_widths=(8,))
-    dist = ClassDistribution.point_mass(0, 20)
+    dist = point_mass(0, 20)
     with pytest.raises(ConfigError):
         adapt_classifier(pipe0.mp, wrong, dist, QUICK_ADAPT, seed=0)
 
@@ -202,7 +204,7 @@ def test_empty_val_split_is_rejected(pipe0):
     """An empty validation split raises instead of scoring nan, on both paths."""
     ds = pipe0.dataset
     empty = (ds.val_x[:0], ds.val_y[:0])
-    dist = ClassDistribution.point_mass(0, 20)
+    dist = point_mass(0, 20)
     with pytest.raises(ValueError):
         adapt_classifier(pipe0.mp, pipe0.generator, dist, QUICK_ADAPT, seed=0, val=empty)
     stored = extract_activations(pipe0.mp, ds.train_x[:50], labels=ds.train_y[:50])

@@ -197,6 +197,17 @@ def test_invalid_argument_exit_code(tiny):
     assert run(cfg, out, "baseline", "--budget", "5") == cli.EXIT_INVALID
 
 
+def test_negative_seed_is_a_usage_error(tiny, capsys):
+    """--seed -1 is refused by the argument parser, before any stage runs,
+    with a message that names the flag."""
+    cfg, out = tiny
+    with pytest.raises(SystemExit) as exc:
+        run(cfg, out, "synth-data", "--seed", "-1")
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_target_stream_is_invalid_for_adapt_and_baseline(tiny):
     """A zero-row target stream that its manifest records exits as invalid
     input from both retraining commands, not with a traceback."""
@@ -279,10 +290,23 @@ def test_run_all_runs_each_ground_truth_retraining_once(tiny, training_calls):
     cfg, out = tiny
     calls = training_calls
     assert run(cfg, out, "run-all") == 0
-    assert len(calls) == 13
+    assert sum(calls) == 13
     calls.clear()
     assert run(cfg, out, "sweep-budget") == 0
-    assert len(calls) == 4
+    assert sum(calls) == 4
     calls.clear()
     assert run(cfg, out, "compare-uncond") == 0
-    assert len(calls) == 2
+    assert sum(calls) == 2
+
+
+def test_run_all_trains_each_seed_group_in_one_call(tiny, tmp_path, training_calls):
+    """With two scenario seeds, each multi-seed retraining of run-all trains
+    both seeds in one lockstep call: 24 runs (the adapt and baseline stages'
+    1 + 1, and 2 per seed group for the 11 groups counted above) in 13
+    trainer calls, where one call per run would make 24."""
+    cfg, out = tiny
+    two = tmp_path / "two-seeds.ini"
+    two.write_text(TINY_CONFIG.replace("seeds = 0\n", "seeds = 0,1\n"), encoding="utf-8")
+    assert run(two, out, "run-all") == 0
+    assert sum(training_calls) == 24
+    assert len(training_calls) == 13

@@ -34,7 +34,6 @@ from loco_pda.evaluation import (
     budget_sweep,
     cond_vs_uncond,
     run_experiment_matrix,
-    spearman_rho,
     top1_accuracy,
     training_runtime_bytes,
 )
@@ -46,6 +45,8 @@ from loco_pda.models import (
     model_memory_bytes,
 )
 from loco_pda.numerics import make_rng
+
+from helpers import spearman_rho
 
 
 QUICK_ADAPT = AdaptationConfig(
@@ -298,34 +299,49 @@ def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
     run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
                           baseline_hyper=QUICK_BASELINE)
-    assert len(calls) == 4
+    assert sum(calls) == 4
     budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
-    assert len(calls) == 5          # only the 680-byte point is new
+    assert sum(calls) == 5          # only the 680-byte point is new
     label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
                            baseline_hyper=QUICK_BASELINE)
-    assert len(calls) == 7          # only the two noisy-label runs are new
+    assert sum(calls) == 7          # only the two noisy-label runs are new
 
-    first = scenario.ground_truth_adaptation(cfg, 0)
-    assert scenario.ground_truth_adaptation(replace(cfg), 0) is first
-    assert len(calls) == 7
+    first, = scenario.ground_truth_adaptation(cfg, (0,))
+    assert scenario.ground_truth_adaptation(replace(cfg), (0,))[0] is first
+    assert sum(calls) == 7
     misses = [
-        lambda: pipe0.scenario((0, 1, 2)).ground_truth_adaptation(cfg, 0),
-        lambda: scenario.ground_truth_adaptation(cfg, 1),
+        lambda: pipe0.scenario((0, 1, 2)).ground_truth_adaptation(cfg, (0,)),
+        lambda: scenario.ground_truth_adaptation(cfg, (1,)),
         lambda: scenario.ground_truth_adaptation(
-            replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), 0),
-        lambda: scenario.ground_truth_adaptation(replace(cfg, total_generated=101), 0),
+            replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), (0,)),
+        lambda: scenario.ground_truth_adaptation(replace(cfg, total_generated=101), (0,)),
         lambda: scenario.ground_truth_adaptation(
-            replace(cfg, label_mode=LabelMode.ESTIMATED), 0),
-        lambda: pipe0.scenario((0, 1, 2)).ground_truth_baseline(QUICK_BASELINE, 0),
-        lambda: scenario.ground_truth_baseline(QUICK_BASELINE, 1),
-        lambda: scenario.ground_truth_baseline(replace(QUICK_BASELINE, lr=2e-3), 0),
+            replace(cfg, label_mode=LabelMode.ESTIMATED), (0,)),
+        lambda: pipe0.scenario((0, 1, 2)).ground_truth_baseline(QUICK_BASELINE, (0,)),
+        lambda: scenario.ground_truth_baseline(QUICK_BASELINE, (1,)),
+        lambda: scenario.ground_truth_baseline(replace(QUICK_BASELINE, lr=2e-3), (0,)),
     ]
     for i, miss in enumerate(misses):
         miss()
-        assert len(calls) == 8 + i, i
+        assert sum(calls) == 8 + i, i
     assert (scenario.ground_truth_adaptation(
-        replace(cfg, label_mode=LabelMode.ESTIMATED), 0).label_mode
+        replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))[0].label_mode
         is LabelMode.ESTIMATED)
+
+
+def test_scenario_trains_the_missing_seeds_as_one_group(pipe0, training_calls):
+    """A request for several seeds trains only those without a report, in one
+    lockstep call, and returns every report in the order of its seeds."""
+    scenario = pipe0.scenario((0, 1, 2))
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    one, = scenario.ground_truth_adaptation(cfg, (1,))
+    reports = scenario.ground_truth_adaptation(cfg, (0, 1, 2))
+    assert training_calls == [1, 2]
+    assert reports[1] is one
+    assert scenario.ground_truth_adaptation(cfg, (2, 0)) == [reports[2], reports[0]]
+    base = scenario.ground_truth_baseline(QUICK_BASELINE, (3, 4))
+    assert scenario.ground_truth_baseline(QUICK_BASELINE, (4, 5))[0] is base[1]
+    assert training_calls == [1, 2, 2, 1]
 
 
 def test_scenario_does_not_keep_a_failed_retraining(pipe0, monkeypatch):
@@ -347,6 +363,30 @@ def test_scenario_does_not_keep_a_failed_retraining(pipe0, monkeypatch):
                                        baseline_hyper=QUICK_BASELINE)
         assert [c.error for c in matrix.cells] == ["NumericError: diverged"] * 2
     assert len(calls) == 4
+
+
+def test_matrix_records_a_group_error_in_every_cell_of_the_group(pipe0, monkeypatch):
+    """A scenario's seeds train each method as one group: when the LoCO-PDA
+    group raises, both of its cells carry the error, and the baseline group
+    still reports."""
+    original = adaptation.train_softmax_stack
+
+    def failing_on_pools(layers, x, *args, **kwargs):
+        if x.shape[-2] == 100:          # the generated pool, not the stored rows
+            raise NumericError("diverged")
+        return original(layers, x, *args, **kwargs)
+
+    monkeypatch.setattr(adaptation, "train_softmax_stack", failing_on_pools)
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    matrix = run_experiment_matrix([("main", pipe0.scenario((0, 1, 2)))], seeds=(0, 1),
+                                   cfg=cfg, methods=("loco-estimated", "baseline-estimated"),
+                                   baseline_hyper=QUICK_BASELINE)
+    cells = {(c.method, c.seed): c for c in matrix.cells}
+    for seed in (0, 1):
+        assert cells["loco-estimated", seed].error == "NumericError: diverged"
+        assert cells["loco-estimated", seed].report is None
+        assert cells["baseline-estimated", seed].error is None
+        assert cells["baseline-estimated", seed].report.rows_used == 600
 
 
 def test_reused_reports_match_direct_runs_bit_for_bit(pipe0):

@@ -198,6 +198,41 @@ def test_train_softmax_stack_is_bitwise_textbook(optimizer, depth):
         assert a.bias.tobytes() == b.bias.tobytes()
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_stacked_runs_are_bitwise_textbook_runs(optimizer, depth):
+    """K runs in one lockstep call, each with its own starting weights, rows,
+    labels and seed, equal K textbook runs bit for bit: weights and logs.
+    Depth 3 scores every run on one shared val input, depth 1 each run on its
+    own extractor's val features."""
+    ds = synth_dataset(SMALL)   # 200 rows: the last batch of 30 holds 20
+    hyper = TrainHyper(epochs=4, batch_size=30, lr=1e-2, lr_step_epochs=2,
+                       lr_gamma=0.5, optimizer=optimizer)
+    seeds = [2, 5, 9]
+    runs = []
+    for k in range(len(seeds)):
+        model = build_mlp(make_rng(3 + k), 8, (6, 5), 4)
+        rows = derive_rng(k, stage_key("test-rows")).permutation(200)
+        x, y = ds.train_x[rows], ds.train_y[rows]
+        if depth == 3:
+            runs.append((model.layers, x, y, ds.val_x))
+        else:
+            runs.append(([model.fc_layer], model.features(x), y, model.features(ds.val_x)))
+    stacked = [DenseLayer(np.stack([run[0][i].weight for run in runs]),
+                          np.stack([run[0][i].bias for run in runs]),
+                          runs[0][0][i].activation) for i in range(depth)]
+    val_x = ds.val_x if depth == 3 else np.stack([run[3] for run in runs])
+    got = train_softmax_stack(stacked, np.stack([run[1] for run in runs]),
+                              np.stack([run[2] for run in runs]), hyper, seed=seeds,
+                              val=(val_x, ds.val_y))
+    for k, (layers, x, y, vx) in enumerate(runs):
+        want_layers = _copies(layers)
+        assert got[k] == _textbook_train(want_layers, x, y, hyper, seeds[k], (vx, ds.val_y))
+        for a, b in zip(stacked, want_layers):
+            assert a.weight[k].tobytes() == b.weight.tobytes()
+            assert a.bias[k].tobytes() == b.bias.tobytes()
+
+
 def test_train_names_epoch_and_batch_of_an_inf_row():
     ds = synth_dataset(SMALL)
     x = ds.train_x.copy()

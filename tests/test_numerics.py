@@ -21,7 +21,6 @@ from loco_pda.numerics import (
     LrSchedule,
     SgdMomentum,
     derive_rng,
-    gradcheck,
     make_rng,
     mse_loss,
     one_hot,
@@ -29,6 +28,8 @@ from loco_pda.numerics import (
     stack_backward,
     stack_forward,
 )
+
+from helpers import gradcheck
 
 
 def test_one_hot_rows():
