@@ -167,14 +167,16 @@ def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray,
-             labels: np.ndarray, hyper: TrainHyper, seeds,
-             val) -> list[tuple[MlpModel, AdaptationReport]]:
+             labels: np.ndarray, hyper: TrainHyper, seeds, val,
+             pre_accuracy: float | None) -> list[tuple[MlpModel, AdaptationReport]]:
     """Train one copy of mp's classifier per seed, run k on (feats[k],
-    labels[k]), all in lockstep, and report each, scored on val before and
-    after. mp's feature extractor is shared, not trained."""
+    labels[k]), all in lockstep, and report each, scored on val before
+    (unless pre_accuracy already gives mp's score) and after. mp's feature
+    extractor is shared, not trained."""
     fc = mp.fc_layer
     k = len(seeds)
-    pre = None if val is None else top1_accuracy(mp, *val)
+    if pre_accuracy is None and val is not None:
+        pre_accuracy = top1_accuracy(mp, *val)
     # a lone run trains unstacked: the same floats, fewer dimensions per numpy call
     lead = (k,) if k > 1 else ()
     fcs = DenseLayer(np.broadcast_to(fc.weight, lead + fc.weight.shape),
@@ -192,14 +194,15 @@ def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray
              AdaptationReport(
                  method=method, label_mode=label_mode,
                  class_counts=np.bincount(labels[j], minlength=mp.meta.num_classes).tolist(),
-                 rows_used=labels.shape[1], epochs_run=hyper.epochs, pre_accuracy=pre,
-                 post_accuracy=post[j]))
+                 rows_used=labels.shape[1], epochs_run=hyper.epochs,
+                 pre_accuracy=pre_accuracy, post_accuracy=post[j]))
             for j in range(k)]
 
 
 def adapt_classifier_seeds(mp: MlpModel, generator: CvaeModel | UncondVaePack,
                            dist: ClassDistribution, cfg: AdaptationConfig | None = None,
-                           seeds=(0,), val=None) -> list[tuple[MlpModel, AdaptationReport]]:
+                           seeds=(0,), val=None, pre_accuracy: float | None = None,
+                           ) -> list[tuple[MlpModel, AdaptationReport]]:
     """adapt_classifier once per seed, the runs trained in lockstep; returns
     one (model, report) per seed, in seed order. The pools are decoded one
     seed at a time, so the decode transient is one pool's, not K pools'."""
@@ -217,19 +220,23 @@ def adapt_classifier_seeds(mp: MlpModel, generator: CvaeModel | UncondVaePack,
         pools[j] = pool.features
     # the counts fix the labels: every seed's pool has the same ones
     labels = np.broadcast_to(pool.labels, pools.shape[:2])
-    return _retrain("loco", cfg.label_mode, mp, pools, labels, cfg.hyper, seeds, val)
+    return _retrain("loco", cfg.label_mode, mp, pools, labels, cfg.hyper, seeds, val,
+                    pre_accuracy)
 
 
 def adapt_classifier(mp: MlpModel, generator: CvaeModel | UncondVaePack,
                      dist: ClassDistribution, cfg: AdaptationConfig | None = None,
-                     seed: int = 0, val=None) -> tuple[MlpModel, AdaptationReport]:
+                     seed: int = 0, val=None, pre_accuracy: float | None = None,
+                     ) -> tuple[MlpModel, AdaptationReport]:
     """Retrain only the classifier layer on a fixed generated pool.
 
     The pool of cfg.total_generated rows is drawn once, apportioned by dist,
     and reused across all epochs. The feature extractor is untouched; the
-    input model is not modified.
+    input model is not modified. The report scores mp on val before
+    retraining, or takes that score from pre_accuracy when the caller has it.
     """
-    return adapt_classifier_seeds(mp, generator, dist, cfg, seeds=(seed,), val=val)[0]
+    return adapt_classifier_seeds(mp, generator, dist, cfg, seeds=(seed,), val=val,
+                                  pre_accuracy=pre_accuracy)[0]
 
 
 def stored_row_bytes(a_dim: int) -> int:
@@ -237,11 +244,22 @@ def stored_row_bytes(a_dim: int) -> int:
     return a_dim * 4 + 4
 
 
+def _budget_rows(stored: ActivationBatch, budget_bytes: int | None) -> int:
+    """How many of stored's rows budget_bytes pays for; None is unbounded."""
+    row_bytes = stored_row_bytes(stored.features.shape[1])
+    if budget_bytes is None:
+        return len(stored)
+    if budget_bytes < row_bytes:
+        raise ValueError(f"budget {budget_bytes} B is below one stored row ({row_bytes} B)")
+    return min(len(stored), budget_bytes // row_bytes)
+
+
 def retrain_baseline_seeds(mp: MlpModel, stored: ActivationBatch,
                            budget_bytes: int | None = None,
                            hyper: TrainHyper | None = None,
                            labels: np.ndarray | None = None,
-                           seeds=(0,), val=None) -> list[tuple[MlpModel, AdaptationReport]]:
+                           seeds=(0,), val=None, pre_accuracy: float | None = None,
+                           ) -> list[tuple[MlpModel, AdaptationReport]]:
     """retrain_baseline once per seed, the runs trained in lockstep; returns
     one (model, report) per seed, in seed order."""
     n = len(stored)
@@ -251,31 +269,30 @@ def retrain_baseline_seeds(mp: MlpModel, stored: ActivationBatch,
         raise LabelError("stored batch has no labels")
     if labels.shape != (n,):
         raise LabelError(f"labels shape {labels.shape} != ({n},)")
-    row_bytes = stored_row_bytes(stored.features.shape[1])
-    if budget_bytes is not None and budget_bytes < row_bytes:
-        raise ValueError(f"budget {budget_bytes} B is below one stored row ({row_bytes} B)")
-    used = n if budget_bytes is None else min(n, budget_bytes // row_bytes)
+    used = _budget_rows(stored, budget_bytes)
     picks = np.stack([derive_rng(seed, stage_key("baseline-rows")).permutation(n)[:used]
                       for seed in seeds])
     return _retrain("baseline", label_mode, mp, stored.features[picks], labels[picks],
-                    hyper or replace(DEFAULT_BASELINE_HYPER), seeds, val)
+                    hyper or replace(DEFAULT_BASELINE_HYPER), seeds, val, pre_accuracy)
 
 
 def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
                      budget_bytes: int | None = None,
                      hyper: TrainHyper | None = None,
                      labels: np.ndarray | None = None,
-                     seed: int = 0, val=None) -> tuple[MlpModel, AdaptationReport]:
+                     seed: int = 0, val=None, pre_accuracy: float | None = None,
+                     ) -> tuple[MlpModel, AdaptationReport]:
     """Classifier-only retraining on stored real feature rows under a budget.
 
     budget_bytes caps how many stored rows may be used (row cost is
     stored_row_bytes); None means unbounded. Rows are chosen by a seeded
     permutation so truncation does not bias toward any class ordering.
     labels, one per stored row (e.g. the deployed model's predictions),
-    replace the stored labels and tag the report estimated.
+    replace the stored labels and tag the report estimated. val and
+    pre_accuracy score the report as in adapt_classifier.
     """
     return retrain_baseline_seeds(mp, stored, budget_bytes, hyper, labels,
-                                  seeds=(seed,), val=val)[0]
+                                  seeds=(seed,), val=val, pre_accuracy=pre_accuracy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +320,10 @@ class Scenario:
     target_stream (the train split's rows of those classes) and target_val
     (the val split's) are (inputs, labels) pairs. They and the values derived
     from the stream are computed once and shared: their arrays are read-only.
-    The ground-truth retrainings that several experiments repeat are run once
-    per distinct argument set and their reports shared, so the fields must not
-    be reassigned after construction. A request for several seeds trains all
-    the missing ones as one lockstep group.
+    Each retraining is run once per distinct set of inputs that determines it
+    and its report shared, so the fields must not be reassigned after
+    construction. A request for several seeds trains all the missing ones as
+    one lockstep group.
     """
 
     dataset: LabeledDataset
@@ -327,6 +344,7 @@ class Scenario:
         self.target_stream = _read_only(*class_rows(ds.train_x, ds.train_y, classes))
         self.target_val = _read_only(*class_rows(ds.val_x, ds.val_y, classes))
         self._reports: dict[tuple, AdaptationReport] = {}
+        self._generators: dict[int, CvaeModel | UncondVaePack] = {}
 
     @cached_property
     def stored(self) -> ActivationBatch:
@@ -353,37 +371,64 @@ class Scenario:
         """The pruned model's accuracy on target_val, before any retraining."""
         return top1_accuracy(self.mp, *self.target_val)
 
-    def _memo(self, keys, seeds, run) -> list[AdaptationReport]:
-        """The report of each (key, seed), in order; the missing seeds are
-        trained by one call run(missing seeds), as one lockstep group.
+    def _memo(self, keys, seeds, label_mode: LabelMode, one, group,
+              **kwargs) -> list[AdaptationReport]:
+        """The report of each (key, seed), in order, tagged label_mode. The
+        missing seeds train as one lockstep call group(seeds=..., **kwargs),
+        a lone one as one(seed=..., **kwargs), scored on target_val.
 
-        Only reports are kept, never the adapted models, and a group that
-        raises keeps nothing, so its next caller meets the error too."""
+        A key holds the inputs that determine a run; the label mode only tags
+        its report. Only reports are kept, never the adapted models, and a
+        group that raises keeps nothing, so its next caller meets the error
+        too."""
         missing = [(key, seed) for key, seed in zip(keys, seeds) if key not in self._reports]
         if missing:
-            runs = run([seed for _, seed in missing])
+            todo = [seed for _, seed in missing]
+            kwargs.update(val=self.target_val, pre_accuracy=self.unadapted_accuracy)
+            runs = ([one(seed=todo[0], **kwargs)] if len(todo) == 1
+                    else group(seeds=todo, **kwargs))
             for (key, _), (_, report) in zip(missing, runs):
                 self._reports[key] = report
-        return [self._reports[key] for key in keys]
+        reports = [self._reports[key] for key in keys]
+        return [r if r.label_mode is label_mode else replace(r, label_mode=label_mode)
+                for r in reports]
 
-    def ground_truth_adaptation(self, cfg: AdaptationConfig, seeds) -> list[AdaptationReport]:
-        """adapt_classifier's report on true_dist for each seed, scored on
-        target_val, run once per seed, pool size, hyperparameters and label
-        mode."""
+    def adapt(self, dist: ClassDistribution, cfg: AdaptationConfig, seeds,
+              generator: CvaeModel | UncondVaePack | None = None) -> list[AdaptationReport]:
+        """adapt_classifier's report for each seed, with generator (the
+        scenario's cvae by default). The pool depends only on the generator,
+        the class counts and the seed, so two distributions that round to the
+        same counts share a run."""
+        generator = self.cvae if generator is None else generator
+        # kept alive, so that no other generator can take over its id
+        self._generators[id(generator)] = generator
+        counts = tuple(allocate_counts(dist, cfg.total_generated).tolist())
         # repr tells apart floats that == does not, such as -0.0 and 0.0
-        keys = [("loco", seed, cfg.total_generated, repr(astuple(cfg.hyper)), cfg.label_mode)
-                for seed in seeds]
-        return self._memo(keys, seeds, lambda group: adapt_classifier_seeds(
-            self.mp, self.cvae, self.true_dist, cfg, seeds=group, val=self.target_val))
+        hyper = repr(astuple(cfg.hyper))
+        keys = [("loco", id(generator), counts, seed, hyper) for seed in seeds]
+        return self._memo(keys, seeds, cfg.label_mode, adapt_classifier,
+                          adapt_classifier_seeds, mp=self.mp, generator=generator,
+                          dist=dist, cfg=cfg)
 
-    def ground_truth_baseline(self, hyper: TrainHyper | None, seeds) -> list[AdaptationReport]:
-        """retrain_baseline's report on all stored rows and their true labels
-        for each seed, scored on target_val, run once per seed and
+    def baseline(self, hyper: TrainHyper | None, seeds, labels: np.ndarray | None = None,
+                 budget_bytes: int | None = None) -> list[AdaptationReport]:
+        """retrain_baseline's report for each seed on the stored rows, with
+        labels (their true labels by default) and under budget_bytes. The run
+        depends only on the labels, the number of rows used, the seed and the
         hyperparameters."""
         hyper = hyper or replace(DEFAULT_BASELINE_HYPER)
-        keys = [("baseline", seed, repr(astuple(hyper))) for seed in seeds]
-        return self._memo(keys, seeds, lambda group: retrain_baseline_seeds(
-            self.mp, self.stored, hyper=hyper, seeds=group, val=self.target_val))
+        mode = LabelMode.GROUND_TRUTH if labels is None else LabelMode.ESTIMATED
+        y = np.asarray(self.stored.labels if labels is None else labels, dtype=np.int64)
+        rows = _budget_rows(self.stored, budget_bytes)
+        keys = [("baseline", y.shape, y.tobytes(), rows, seed, repr(astuple(hyper)))
+                for seed in seeds]
+        return self._memo(keys, seeds, mode, retrain_baseline, retrain_baseline_seeds,
+                          mp=self.mp, stored=self.stored, budget_bytes=budget_bytes,
+                          hyper=hyper, labels=labels)
+
+    def ground_truth_adaptation(self, cfg: AdaptationConfig, seeds) -> list[AdaptationReport]:
+        """adapt on true_dist with the scenario's cvae."""
+        return self.adapt(self.true_dist, cfg, seeds)
 
 
 @dataclass(frozen=True)
@@ -456,7 +501,6 @@ def label_noise_experiment(scenario: Scenario,
     only difference is the labels."""
     cfg = cfg or AdaptationConfig()
     s = scenario.dataset.spec.num_classes
-    val = scenario.target_val
     if isinstance(noise, SyntheticFlip):
         noisy_y = flip_labels(scenario.target_stream[1], noise.rate, s, scenario.seed)
         kind = f"synthetic-flip-{noise.rate}"
@@ -466,12 +510,11 @@ def label_noise_experiment(scenario: Scenario,
     noisy_dist = ClassDistribution.from_labels(noisy_y, s)
     certain_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
     noisy_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
-    loco_cert, = scenario.ground_truth_adaptation(certain_cfg, (scenario.seed,))
-    _, loco_noisy = adapt_classifier(scenario.mp, scenario.cvae, noisy_dist,
-                                     noisy_cfg, seed=scenario.seed, val=val)
-    base_cert, = scenario.ground_truth_baseline(baseline_hyper, (scenario.seed,))
-    _, base_noisy = retrain_baseline(scenario.mp, scenario.stored, hyper=baseline_hyper,
-                                     labels=noisy_y, seed=scenario.seed, val=val)
+    seeds = (scenario.seed,)
+    loco_cert, = scenario.ground_truth_adaptation(certain_cfg, seeds)
+    loco_noisy, = scenario.adapt(noisy_dist, noisy_cfg, seeds)
+    base_cert, = scenario.baseline(baseline_hyper, seeds)
+    base_noisy, = scenario.baseline(baseline_hyper, seeds, labels=noisy_y)
     return NoiseComparison(
         noise_kind=kind,
         unadapted_accuracy=scenario.unadapted_accuracy,

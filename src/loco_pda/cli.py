@@ -442,11 +442,15 @@ COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
-    """--seed's type: the RNG seeds accept only non-negative integers."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+def _integer_from(minimum: int):
+    """An argparse type for a decimal integer of at least minimum: the RNG
+    seeds accept only non-negative integers, and a budget must buy a byte."""
+    def parse(text: str) -> int:
+        if not (text.isascii() and text.isdigit()) or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="config file (defaults built in)")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_integer_from(0), default=0)
         p.add_argument("--out", type=str, default=None,
                        help="output directory (default $LOCO_PDA_OUT or ./loco_out)")
         if name == "estimate-domain":
@@ -470,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--labels", choices=["ground-truth", "estimated"],
                            default="ground-truth")
         if name == "baseline":
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_integer_from(1), default=None,
                            help="stored-sample budget in bytes (default unbounded)")
     return parser
 

@@ -19,8 +19,6 @@ from .adaptation import (
     ClassDistribution,
     LabelMode,
     Scenario,
-    adapt_classifier_seeds,
-    retrain_baseline_seeds,
     stored_row_bytes,
     top1_accuracy,
 )
@@ -209,13 +207,9 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
     for budget in [*budgets, None]:
         if budget is not None and budget < row:
             per_seed = [no_retrain for _ in seeds]
-        elif budget is None:
-            per_seed = [r.post_accuracy
-                        for r in scenario.ground_truth_baseline(baseline_hyper, seeds)]
         else:
-            per_seed = [r.post_accuracy for _, r in retrain_baseline_seeds(
-                scenario.mp, scenario.stored, budget_bytes=budget, hyper=baseline_hyper,
-                seeds=seeds, val=scenario.target_val)]
+            per_seed = [r.post_accuracy for r in scenario.baseline(
+                baseline_hyper, seeds, budget_bytes=budget)]
         points.append(SweepPoint(budget, per_seed, float(np.mean(per_seed))))
     crossover = None
     for p in points:
@@ -265,8 +259,8 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
     _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
     cond_accs = [r.post_accuracy for r in scenario.ground_truth_adaptation(cfg, seeds)]
-    uncond_accs = [r.post_accuracy for _, r in adapt_classifier_seeds(
-        scenario.mp, pack, scenario.true_dist, cfg, seeds=seeds, val=scenario.target_val)]
+    uncond_accs = [r.post_accuracy
+                   for r in scenario.adapt(scenario.true_dist, cfg, seeds, generator=pack)]
     cond_bytes = model_memory_bytes(scenario.cvae)
     uncond_bytes = model_memory_bytes(pack)
     return CondUncondReport(
@@ -320,24 +314,18 @@ class ExperimentMatrix:
 
 def _run_group(scenario: Scenario, method: str, seeds, cfg: AdaptationConfig,
                baseline_hyper: TrainHyper | None) -> list[AdaptationReport]:
-    """One method's reports for every seed, trained as one lockstep group."""
-    if method == "baseline-ground-truth":
-        return scenario.ground_truth_baseline(baseline_hyper, seeds)
-    if method == "loco-ground-truth":
-        return scenario.ground_truth_adaptation(
-            replace(cfg, label_mode=LabelMode.GROUND_TRUTH), seeds)
-    if method == "baseline-estimated":
-        runs = retrain_baseline_seeds(scenario.mp, scenario.stored, hyper=baseline_hyper,
-                                      labels=scenario.predictions, seeds=seeds,
-                                      val=scenario.target_val)
-    else:
-        # the deployed model's argmax frequencies, as estimate_domain counts them
-        dist = ClassDistribution.from_labels(scenario.predictions,
-                                             scenario.dataset.spec.num_classes)
-        runs = adapt_classifier_seeds(scenario.mp, scenario.cvae, dist,
-                                      replace(cfg, label_mode=LabelMode.ESTIMATED),
-                                      seeds=seeds, val=scenario.target_val)
-    return [report for _, report in runs]
+    """One method's reports for every seed, trained as one lockstep group
+    unless the Scenario already holds a run on the same inputs."""
+    route, _, mode = method.partition("-")
+    estimated = LabelMode(mode) is LabelMode.ESTIMATED
+    if route == "baseline":
+        return scenario.baseline(baseline_hyper, seeds,
+                                 labels=scenario.predictions if estimated else None)
+    # the deployed model's argmax frequencies, as estimate_domain counts them
+    dist = (ClassDistribution.from_labels(scenario.predictions,
+                                          scenario.dataset.spec.num_classes)
+            if estimated else scenario.true_dist)
+    return scenario.adapt(dist, replace(cfg, label_mode=LabelMode(mode)), seeds)
 
 
 def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],

@@ -208,6 +208,18 @@ def test_negative_seed_is_a_usage_error(tiny, capsys):
     assert not out.exists()
 
 
+def test_non_positive_budget_is_a_usage_error(tiny, capsys):
+    """--budget 0, -1, abc or 1.5 is refused by the argument parser, before any
+    stage runs or loads an artifact, with a message that names the flag."""
+    cfg, out = tiny
+    for budget in ("0", "-1", "abc", "1.5"):
+        with pytest.raises(SystemExit) as exc:
+            run(cfg, out, "baseline", "--budget", budget)
+        assert exc.value.code == 2, budget
+        assert "--budget" in capsys.readouterr().err, budget
+    assert not out.exists()
+
+
 def test_empty_target_stream_is_invalid_for_adapt_and_baseline(tiny):
     """A zero-row target stream that its manifest records exits as invalid
     input from both retraining commands, not with a traceback."""

@@ -293,40 +293,129 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
 def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
     """The matrix, the sweep and the label-noise experiment on one scenario and
     seed share the ground-truth LoCO-PDA run and the unbounded ground-truth
-    baseline; any argument that changes a report misses the memo."""
+    baseline; any argument that changes a report misses the memo, and the
+    label mode, which only tags the report, does not."""
     calls = training_calls
     scenario = pipe0.scenario((0, 1, 2))
+    # the deployed model labels this stream exactly, so the estimated-label
+    # runs train on the ground-truth runs' inputs
+    assert (scenario.predictions == scenario.target_stream[1]).all()
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
     run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
                           baseline_hyper=QUICK_BASELINE)
-    assert sum(calls) == 4
+    assert sum(calls) == 2
     budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
-    assert sum(calls) == 5          # only the 680-byte point is new
+    assert sum(calls) == 3          # only the 680-byte point is new
     label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
                            baseline_hyper=QUICK_BASELINE)
-    assert sum(calls) == 7          # only the two noisy-label runs are new
+    assert sum(calls) == 3          # the noisy labels are the true ones here
 
     first, = scenario.ground_truth_adaptation(cfg, (0,))
     assert scenario.ground_truth_adaptation(replace(cfg), (0,))[0] is first
-    assert sum(calls) == 7
+    estimated, = scenario.ground_truth_adaptation(
+        replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))
+    assert estimated.label_mode is LabelMode.ESTIMATED
+    assert estimated == replace(first, label_mode=LabelMode.ESTIMATED)
+    assert sum(calls) == 3
     misses = [
         lambda: pipe0.scenario((0, 1, 2)).ground_truth_adaptation(cfg, (0,)),
         lambda: scenario.ground_truth_adaptation(cfg, (1,)),
         lambda: scenario.ground_truth_adaptation(
             replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), (0,)),
         lambda: scenario.ground_truth_adaptation(replace(cfg, total_generated=101), (0,)),
-        lambda: scenario.ground_truth_adaptation(
-            replace(cfg, label_mode=LabelMode.ESTIMATED), (0,)),
-        lambda: pipe0.scenario((0, 1, 2)).ground_truth_baseline(QUICK_BASELINE, (0,)),
-        lambda: scenario.ground_truth_baseline(QUICK_BASELINE, (1,)),
-        lambda: scenario.ground_truth_baseline(replace(QUICK_BASELINE, lr=2e-3), (0,)),
+        lambda: pipe0.scenario((0, 1, 2)).baseline(QUICK_BASELINE, (0,)),
+        lambda: scenario.baseline(QUICK_BASELINE, (1,)),
+        lambda: scenario.baseline(replace(QUICK_BASELINE, lr=2e-3), (0,)),
     ]
     for i, miss in enumerate(misses):
         miss()
-        assert sum(calls) == 8 + i, i
-    assert (scenario.ground_truth_adaptation(
-        replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))[0].label_mode
-        is LabelMode.ESTIMATED)
+        assert sum(calls) == 4 + i, i
+
+
+def _matrix_with_predictions(pipe, preds, cfg, training_calls):
+    """The matrix and the model-predictions noise experiment of a scenario
+    whose deployed model predicts preds on the stream, the trainings they
+    ran, and the matrix rebuilt from direct adapt_classifier and
+    retrain_baseline calls."""
+    scenario = pipe.scenario((0, 1, 2))
+    preds.flags.writeable = False
+    scenario.predictions = preds        # set before first use, as if m0 said so
+    matrix = run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
+                                   baseline_hyper=QUICK_BASELINE)
+    noise = label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
+                                   baseline_hyper=QUICK_BASELINE)
+    runs = sum(training_calls)
+
+    mp, val = pipe.mp, scenario.target_val
+    stream_y = scenario.target_stream[1]
+    stored = extract_activations(mp, scenario.target_stream[0], labels=stream_y)
+
+    def loco(labels, mode):
+        dist = ClassDistribution.from_labels(labels, 20)
+        return adapt_classifier(mp, pipe.generator, dist, replace(cfg, label_mode=mode),
+                                seed=0, val=val)[1]
+
+    def base(labels=None):
+        return retrain_baseline(mp, stored, hyper=QUICK_BASELINE, labels=labels,
+                                seed=0, val=val)[1]
+
+    direct = ExperimentMatrix([
+        MatrixCell("main", "loco-ground-truth", 0, loco(stream_y, LabelMode.GROUND_TRUTH)),
+        MatrixCell("main", "loco-estimated", 0, loco(preds, LabelMode.ESTIMATED)),
+        MatrixCell("main", "baseline-ground-truth", 0, base()),
+        MatrixCell("main", "baseline-estimated", 0, base(preds)),
+    ])
+    cells = {c.method: c.report for c in matrix.cells}
+    assert noise.loco_noisy == cells["loco-estimated"].post_accuracy
+    assert noise.baseline_noisy == cells["baseline-estimated"].post_accuracy
+    return matrix, runs, direct
+
+
+def test_swapped_predictions_reuse_the_pool_but_not_the_rows(pipe0, training_calls):
+    """Swapping the predictions of two stream rows of different classes keeps
+    the class counts, so loco-estimated reuses the ground-truth run (same
+    pool), and changes the labels, so baseline-estimated trains its own run;
+    the noise experiment's noisy runs are the estimated cells'."""
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    preds = pipe0.scenario((0, 1, 2)).target_stream[1].copy()
+    i, j = 0, int(np.flatnonzero(preds != preds[0])[0])
+    preds[[i, j]] = preds[[j, i]]
+    matrix, runs, direct = _matrix_with_predictions(pipe0, preds, cfg, training_calls)
+    assert runs == 3
+    assert matrix.to_json_dict() == direct.to_json_dict()
+    cells = {c.method: c.report for c in matrix.cells}
+    assert cells["loco-estimated"] == replace(cells["loco-ground-truth"],
+                                              label_mode=LabelMode.ESTIMATED)
+
+
+def test_relabelled_prediction_trains_both_estimated_cells(pipe0, training_calls):
+    """Relabelling one prediction changes the class counts, so both estimated
+    cells train their own runs; the noise experiment's noisy runs are theirs."""
+    cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
+    stream_y = pipe0.scenario((0, 1, 2)).target_stream[1]
+    preds = stream_y.copy()
+    preds[0] = 5                        # a class outside the target subset
+    assert (adaptation.allocate_counts(ClassDistribution.from_labels(preds, 20), 100)
+            != adaptation.allocate_counts(ClassDistribution.from_labels(stream_y, 20),
+                                          100)).any()
+    matrix, runs, direct = _matrix_with_predictions(pipe0, preds, cfg, training_calls)
+    assert runs == 4
+    assert matrix.to_json_dict() == direct.to_json_dict()
+
+
+def test_baseline_budget_keys_on_the_rows_it_buys(pipe0, training_calls):
+    """A budget that buys every stored row is the unbounded run, and two
+    budgets that buy the same number of rows share one run."""
+    scenario = pipe0.scenario((0, 1, 2))
+    row = stored_row_bytes(pipe0.mp.meta.activation_dim)
+    unbounded, = scenario.baseline(QUICK_BASELINE, (0,))
+    assert scenario.baseline(QUICK_BASELINE, (0,), budget_bytes=10**9)[0] is unbounded
+    ten, = scenario.baseline(QUICK_BASELINE, (0,), budget_bytes=10 * row)
+    assert scenario.baseline(QUICK_BASELINE, (0,), budget_bytes=11 * row - 1)[0] is ten
+    assert sum(training_calls) == 2
+    assert ten == retrain_baseline(pipe0.mp, scenario.stored, budget_bytes=11 * row - 1,
+                                   hyper=QUICK_BASELINE, seed=0,
+                                   val=scenario.target_val)[1]
 
 
 def test_scenario_trains_the_missing_seeds_as_one_group(pipe0, training_calls):
@@ -339,8 +428,8 @@ def test_scenario_trains_the_missing_seeds_as_one_group(pipe0, training_calls):
     assert training_calls == [1, 2]
     assert reports[1] is one
     assert scenario.ground_truth_adaptation(cfg, (2, 0)) == [reports[2], reports[0]]
-    base = scenario.ground_truth_baseline(QUICK_BASELINE, (3, 4))
-    assert scenario.ground_truth_baseline(QUICK_BASELINE, (4, 5))[0] is base[1]
+    base = scenario.baseline(QUICK_BASELINE, (3, 4))
+    assert scenario.baseline(QUICK_BASELINE, (4, 5))[0] is base[1]
     assert training_calls == [1, 2, 2, 1]
 
 
