@@ -7,7 +7,7 @@ experiment comparing how the two degrade.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -145,16 +145,7 @@ class AdaptationReport:
     ledger_name: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "label_mode": self.label_mode.value,
-            "class_counts": [int(c) for c in self.class_counts],
-            "rows_used": int(self.rows_used),
-            "epochs_run": int(self.epochs_run),
-            "pre_accuracy": self.pre_accuracy,
-            "post_accuracy": self.post_accuracy,
-            "ledger_name": self.ledger_name,
-        }
+        return {**asdict(self), "label_mode": self.label_mode.value}
 
 
 def top1_accuracy(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -480,16 +471,8 @@ class NoiseComparison:
         return self.baseline_certain - self.baseline_noisy
 
     def to_json_dict(self) -> dict:
-        return {
-            "noise_kind": self.noise_kind,
-            "unadapted_accuracy": self.unadapted_accuracy,
-            "loco_certain": self.loco_certain,
-            "loco_noisy": self.loco_noisy,
-            "baseline_certain": self.baseline_certain,
-            "baseline_noisy": self.baseline_noisy,
-            "loco_degradation": self.loco_degradation,
-            "baseline_degradation": self.baseline_degradation,
-        }
+        return {**asdict(self), "loco_degradation": self.loco_degradation,
+                "baseline_degradation": self.baseline_degradation}
 
 
 def label_noise_experiment(scenario: Scenario,

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +98,7 @@ class Context:
         result = load(*map(self.path, names))
         recorded: dict[str, str] = {}
         for mpath in sorted(self.out.glob("manifest_*.json")):
-            recorded.update(_read_json(mpath).get("artifacts", {}))
+            recorded.update(_read_json(mpath, "artifacts", _is_digest_map)["artifacts"])
         for name in names:
             want = recorded.get(name)
             if want is None:
@@ -138,8 +138,25 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _read_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
+def _read_json(path: Path, key: str, valid) -> dict:
+    """The JSON object in path, whose value at key passes valid(); anything
+    else is a malformed artifact."""
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not (isinstance(obj, dict) and key in obj and valid(obj[key])):
+        raise FormatError(f"{path} is not a JSON object with a valid {key!r}")
+    return obj
+
+
+def _is_digest_map(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _is_number_list(value) -> bool:
+    # json gives int or float for every number, and bool for true and false
+    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -189,8 +206,8 @@ def _load_pack(ctx: Context) -> cvae.UncondVaePack:
 def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch:
     if stream_arg is not None:
         p = Path(stream_arg)
-        if not p.exists():
-            raise MissingInputError(f"stream file {p} does not exist")
+        if not p.is_file():
+            raise MissingInputError(f"stream file {p} does not exist or is not a file")
         return formats.load_activations(p)
     return ctx.read(formats.load_activations, "synth-data", TARGET_STREAM)
 
@@ -283,7 +300,7 @@ def cmd_train_uncond(ctx: Context, args) -> list[str]:
 
 def cmd_estimate_domain(ctx: Context, args) -> list[str]:
     m0 = _load_m0(ctx)
-    stream = _load_stream(ctx, getattr(args, "stream", None))
+    stream = _load_stream(ctx, args.stream)
     dist = adaptation.estimate_domain(m0, stream.features)
     _write_json(ctx.path(DOMAIN), {
         "probs": [float(p) for p in dist.probs],
@@ -294,7 +311,8 @@ def cmd_estimate_domain(ctx: Context, args) -> list[str]:
 
 
 def _load_domain(ctx: Context) -> ClassDistribution:
-    data = ctx.read(_read_json, "estimate-domain", DOMAIN)
+    data = ctx.read(partial(_read_json, key="probs", valid=_is_number_list),
+                    "estimate-domain", DOMAIN)
     return ClassDistribution(np.asarray(data["probs"], dtype=np.float64))
 
 
@@ -304,7 +322,7 @@ def cmd_adapt(ctx: Context, args) -> list[str]:
     stream = _load_stream(ctx, None)
     val = _val_subset(ctx)
     cfg = ctx.cfg.adapt_config()
-    cfg.label_mode = LabelMode(getattr(args, "labels", "ground-truth"))
+    cfg.label_mode = LabelMode(args.labels)
     if cfg.label_mode is LabelMode.ESTIMATED:
         dist = _load_domain(ctx)
     else:
@@ -327,7 +345,7 @@ def cmd_baseline(ctx: Context, args) -> list[str]:
     val = _val_subset(ctx)
     stored = models.extract_activations(mp, stream.features, labels=stream.labels)
     model, report = adaptation.retrain_baseline(
-        mp, stored, budget_bytes=getattr(args, "budget", None),
+        mp, stored, budget_bytes=args.budget,
         hyper=ctx.cfg.baseline_hyper(), seed=ctx.seed, val=val)
     formats.save_mlp(ctx.path(BASELINE_MODEL), model)
     _write_json(ctx.path(BASELINE_REPORT), report.to_json_dict())
@@ -396,25 +414,11 @@ def cmd_memory_report(ctx: Context, args) -> list[str]:
 
 
 def cmd_run_all(ctx: Context, args) -> list[str]:
-    stages = [
-        ("synth-data", cmd_synth_data, {}),
-        ("train-source", cmd_train_source, {}),
-        ("prune", cmd_prune, {}),
-        ("dump-activations", cmd_dump_activations, {}),
-        ("train-cvae", cmd_train_cvae, {}),
-        ("train-uncond", cmd_train_uncond, {}),
-        ("estimate-domain", cmd_estimate_domain, {}),
-        ("adapt", cmd_adapt, {"labels": "estimated"}),
-        ("baseline", cmd_baseline, {"budget": None}),
-        ("evaluate", cmd_evaluate, {}),
-        ("sweep-budget", cmd_sweep_budget, {}),
-        ("compare-uncond", cmd_compare_uncond, {}),
-        ("memory-report", cmd_memory_report, {}),
-    ]
-    for name, fn, extra in stages:
-        stage_args = argparse.Namespace(**extra)
-        written = fn(ctx, stage_args)
-        _write_manifest(ctx, name, written)
+    # each stage as its own command would run with `--labels estimated`
+    stage_args = argparse.Namespace(stream=None, labels="estimated", budget=None)
+    for name, fn in COMMANDS.items():
+        if name != "run-all":
+            _write_manifest(ctx, name, fn(ctx, stage_args))
     scenarios = [("classes-" + "-".join(str(c) for c in subset), ctx.scenario(subset))
                  for subset in [ctx.cfg.target_classes, *ctx.cfg.extra_subsets]]
     matrix = evaluation.run_experiment_matrix(
@@ -424,6 +428,7 @@ def cmd_run_all(ctx: Context, args) -> list[str]:
     return [MATRIX]
 
 
+# in the order run-all runs them
 COMMANDS = {
     "synth-data": cmd_synth_data,
     "train-source": cmd_train_source,
@@ -500,7 +505,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else PipelineConfig()
         cfg.validate()
         out = Path(args.out or os.environ.get("LOCO_PDA_OUT", "loco_out"))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise LocoError(f"--out {out} cannot be made a directory: {exc}") from exc
         ctx = Context(cfg, args.seed, out)
         written = COMMANDS[args.command](ctx, args)
         _write_manifest(ctx, args.command, written)
@@ -508,11 +516,8 @@ def main(argv=None) -> int:
             print(f"wrote {ctx.path(name)}")
         return 0
     except tuple(e for e, _ in _ERROR_CODES) as exc:
-        for err_type, code in _ERROR_CODES:
-            if isinstance(exc, err_type):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for err_type, code in _ERROR_CODES if isinstance(exc, err_type))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .adaptation import AdaptationConfig, DEFAULT_ADAPT_HYPER, DEFAULT_BASELINE_HYPER
 from .cvae import BetaSchedule, CvaeHyper
@@ -19,61 +19,81 @@ from .errors import ConfigError
 from .models import DatasetSpec, TrainHyper
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
+def _int_tuple(text: str) -> tuple:
+    items = [part.strip() for part in text.split(",") if part.strip()]
+    if not items:
+        raise ValueError("empty list")
+    return tuple(int(part) for part in items)
+
+
+def _subset_list(text: str) -> tuple:
+    """Semicolon-separated class subsets, e.g. `5,6,7; 10,11`."""
+    groups = [g.strip() for g in text.split(";") if g.strip()]
+    return tuple(_int_tuple(g) for g in groups)
+
+
+def _key(section: str, default, parse=None):
+    """A field keyed in `[section]` by its name less any `section_` prefix, and
+    parsed by parse, or else by the parser of its default's type."""
+    return field(default=default, metadata={"section": section, "parse": parse})
+
+
 @dataclass
 class PipelineConfig:
-    # dataset
-    classes: int = 20
-    input_dim: int = 32
-    train_per_class: int = 200
-    val_per_class: int = 50
-    class_mean_scale: float = 1.0
-    within_class_sigma: float = 0.8
-    # model
-    feature_widths: tuple = (64, 32, 16)
-    source_epochs: int = 15
-    source_batch: int = 64
-    source_lr: float = 1e-3
-    prune_fraction: float = 0.3
-    finetune_epochs: int = 5
-    finetune_lr: float = 1e-3
-    # cvae
-    cvae_z_dim: int = 16
-    cvae_enc_widths: tuple = (1024, 128, 64)
-    cvae_dec_widths: tuple = (512,)
-    cvae_epochs: int = 90
-    cvae_batch: int = 128
-    cvae_lr: float = 1e-3
-    cvae_lr_step_epochs: int = 30
-    cvae_lr_gamma: float = 0.1
-    beta_start: float = 0.0
-    beta_step: float = 0.1
-    beta_every: int = 3
-    beta_max: float = 1.0
-    # uncond
-    uncond_z_dim: int = 2
-    uncond_enc_widths: tuple = (128, 64)
-    uncond_dec_widths: tuple = (64,)
-    # adapt
-    adapt_r: int = 3000
-    adapt_epochs: int = 50
-    adapt_batch: int = 32
-    adapt_lr: float = 1e-6
-    adapt_lr_step_epochs: int = 15
-    adapt_lr_gamma: float = 0.1
-    adapt_momentum: float = 0.9
-    # baseline
-    baseline_epochs: int = 10
-    baseline_batch: int = 32
-    baseline_lr: float = 1e-3
-    baseline_lr_step_epochs: int = 3
-    baseline_lr_gamma: float = 0.1
-    baseline_momentum: float = 0.9
-    # scenario
-    target_classes: tuple = (0, 1, 2, 3, 4)
-    extra_subsets: tuple = ()        # additional D' class subsets for the matrix
-    seeds: tuple = (0, 1, 2, 3, 4)
-    # sweep
-    sweep_budgets: tuple = (136, 340, 680, 1700, 3400, 6800, 17000, 34000)
+    # declaration order is the canonical render order
+    classes: int = _key("dataset", 20)
+    input_dim: int = _key("dataset", 32)
+    train_per_class: int = _key("dataset", 200)
+    val_per_class: int = _key("dataset", 50)
+    class_mean_scale: float = _key("dataset", 1.0)
+    within_class_sigma: float = _key("dataset", 0.8)
+    feature_widths: tuple = _key("model", (64, 32, 16))
+    source_epochs: int = _key("model", 15)
+    source_batch: int = _key("model", 64)
+    source_lr: float = _key("model", 1e-3)
+    prune_fraction: float = _key("model", 0.3)
+    finetune_epochs: int = _key("model", 5)
+    finetune_lr: float = _key("model", 1e-3)
+    cvae_z_dim: int = _key("cvae", 16)
+    cvae_enc_widths: tuple = _key("cvae", (1024, 128, 64))
+    cvae_dec_widths: tuple = _key("cvae", (512,))
+    cvae_epochs: int = _key("cvae", 90)
+    cvae_batch: int = _key("cvae", 128)
+    cvae_lr: float = _key("cvae", 1e-3)
+    cvae_lr_step_epochs: int = _key("cvae", 30)
+    cvae_lr_gamma: float = _key("cvae", 0.1)
+    beta_start: float = _key("cvae", 0.0)
+    beta_step: float = _key("cvae", 0.1)
+    beta_every: int = _key("cvae", 3)
+    beta_max: float = _key("cvae", 1.0)
+    uncond_z_dim: int = _key("uncond", 2)
+    uncond_enc_widths: tuple = _key("uncond", (128, 64))
+    uncond_dec_widths: tuple = _key("uncond", (64,))
+    adapt_r: int = _key("adapt", 3000)
+    adapt_epochs: int = _key("adapt", 50)
+    adapt_batch: int = _key("adapt", 32)
+    adapt_lr: float = _key("adapt", 1e-6)
+    adapt_lr_step_epochs: int = _key("adapt", 15)
+    adapt_lr_gamma: float = _key("adapt", 0.1)
+    adapt_momentum: float = _key("adapt", 0.9)
+    baseline_epochs: int = _key("baseline", 10)
+    baseline_batch: int = _key("baseline", 32)
+    baseline_lr: float = _key("baseline", 1e-3)
+    baseline_lr_step_epochs: int = _key("baseline", 3)
+    baseline_lr_gamma: float = _key("baseline", 0.1)
+    baseline_momentum: float = _key("baseline", 0.9)
+    target_classes: tuple = _key("scenario", (0, 1, 2, 3, 4))
+    # additional D' class subsets for the matrix
+    extra_subsets: tuple = _key("scenario", (), _subset_list)
+    seeds: tuple = _key("scenario", (0, 1, 2, 3, 4))
+    sweep_budgets: tuple = _key("sweep", (136, 340, 680, 1700, 3400, 6800, 17000, 34000))
 
     # --- derived builders ---
 
@@ -186,81 +206,14 @@ class PipelineConfig:
                 bad(f"{f.name} must be >= 0")
 
 
-# (section, key) -> (attribute, value parser)
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
-
-
-def _int_tuple(text: str) -> tuple:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError("empty list")
-    return tuple(int(part) for part in items)
-
-
-def _subset_list(text: str) -> tuple:
-    """Semicolon-separated class subsets, e.g. `5,6,7; 10,11`."""
-    groups = [g.strip() for g in text.split(";") if g.strip()]
-    return tuple(_int_tuple(g) for g in groups)
-
-
-SCHEMA = {
-    ("dataset", "classes"): ("classes", _int),
-    ("dataset", "input_dim"): ("input_dim", _int),
-    ("dataset", "train_per_class"): ("train_per_class", _int),
-    ("dataset", "val_per_class"): ("val_per_class", _int),
-    ("dataset", "class_mean_scale"): ("class_mean_scale", _float),
-    ("dataset", "within_class_sigma"): ("within_class_sigma", _float),
-    ("model", "feature_widths"): ("feature_widths", _int_tuple),
-    ("model", "source_epochs"): ("source_epochs", _int),
-    ("model", "source_batch"): ("source_batch", _int),
-    ("model", "source_lr"): ("source_lr", _float),
-    ("model", "prune_fraction"): ("prune_fraction", _float),
-    ("model", "finetune_epochs"): ("finetune_epochs", _int),
-    ("model", "finetune_lr"): ("finetune_lr", _float),
-    ("cvae", "z_dim"): ("cvae_z_dim", _int),
-    ("cvae", "enc_widths"): ("cvae_enc_widths", _int_tuple),
-    ("cvae", "dec_widths"): ("cvae_dec_widths", _int_tuple),
-    ("cvae", "epochs"): ("cvae_epochs", _int),
-    ("cvae", "batch"): ("cvae_batch", _int),
-    ("cvae", "lr"): ("cvae_lr", _float),
-    ("cvae", "lr_step_epochs"): ("cvae_lr_step_epochs", _int),
-    ("cvae", "lr_gamma"): ("cvae_lr_gamma", _float),
-    ("cvae", "beta_start"): ("beta_start", _float),
-    ("cvae", "beta_step"): ("beta_step", _float),
-    ("cvae", "beta_every"): ("beta_every", _int),
-    ("cvae", "beta_max"): ("beta_max", _float),
-    ("uncond", "z_dim"): ("uncond_z_dim", _int),
-    ("uncond", "enc_widths"): ("uncond_enc_widths", _int_tuple),
-    ("uncond", "dec_widths"): ("uncond_dec_widths", _int_tuple),
-    ("adapt", "r"): ("adapt_r", _int),
-    ("adapt", "epochs"): ("adapt_epochs", _int),
-    ("adapt", "batch"): ("adapt_batch", _int),
-    ("adapt", "lr"): ("adapt_lr", _float),
-    ("adapt", "lr_step_epochs"): ("adapt_lr_step_epochs", _int),
-    ("adapt", "lr_gamma"): ("adapt_lr_gamma", _float),
-    ("adapt", "momentum"): ("adapt_momentum", _float),
-    ("baseline", "epochs"): ("baseline_epochs", _int),
-    ("baseline", "batch"): ("baseline_batch", _int),
-    ("baseline", "lr"): ("baseline_lr", _float),
-    ("baseline", "lr_step_epochs"): ("baseline_lr_step_epochs", _int),
-    ("baseline", "lr_gamma"): ("baseline_lr_gamma", _float),
-    ("baseline", "momentum"): ("baseline_momentum", _float),
-    ("scenario", "target_classes"): ("target_classes", _int_tuple),
-    ("scenario", "extra_subsets"): ("extra_subsets", _subset_list),
-    ("scenario", "seeds"): ("seeds", _int_tuple),
-    ("sweep", "budgets"): ("sweep_budgets", _int_tuple),
+_PARSERS = {int: int, float: _float, tuple: _int_tuple}
+# (section, key) -> (attribute, value parser), in declaration order
+_KEYS = {
+    (f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")):
+        (f.name, f.metadata["parse"] or _PARSERS[type(f.default)])
+    for f in fields(PipelineConfig)
 }
-
-_SECTION_ORDER = ("dataset", "model", "cvae", "uncond", "adapt", "baseline",
-                  "scenario", "sweep")
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
@@ -273,7 +226,7 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SECTION_ORDER:
+            if section not in _SECTIONS:
                 raise ConfigError(f"{source}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -282,7 +235,7 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        entry = SCHEMA.get((section, key))
+        entry = _KEYS.get((section, key))
         if entry is None:
             raise ConfigError(f"{source}:{lineno}: unknown key '{section}.{key}'")
         if (section, key) in seen:
@@ -321,9 +274,9 @@ def _render_value(value) -> str:
 def render_config(cfg: PipelineConfig) -> str:
     """Canonical text form: fixed ordering, normalized values."""
     lines = []
-    for section in _SECTION_ORDER:
+    for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for (sec, key), (attr, _) in SCHEMA.items():
+        for (sec, key), (attr, _) in _KEYS.items():
             if sec == section:
                 lines.append(f"{key} = {_render_value(getattr(cfg, attr))}")
         lines.append("")

@@ -8,7 +8,7 @@ or estimated at runtime; the runtime-memory model is a documented closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -153,20 +153,8 @@ class SweepResult:
     cvae_bytes: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "points": [
-                {"budget_bytes": p.budget_bytes, "per_seed": p.per_seed,
-                 "mean_accuracy": p.mean_accuracy}
-                for p in self.points
-            ],
-            "no_retrain_accuracy": self.no_retrain_accuracy,
-            "loco_mean_accuracy": self.loco_mean_accuracy,
-            "crossover_budget": self.crossover_budget,
-            "cvae_bytes": self.cvae_bytes,
-            "crossover_vs_generator_memory":
-                None if self.crossover_budget is None
-                else self.crossover_budget / self.cvae_bytes,
-        }
+        ratio = None if self.crossover_budget is None else self.crossover_budget / self.cvae_bytes
+        return {**asdict(self), "crossover_vs_generator_memory": ratio}
 
     def to_csv(self) -> str:
         lines = ["budget_bytes,mean_accuracy,no_retrain_accuracy,loco_accuracy"]
@@ -238,17 +226,7 @@ class CondUncondReport:
     no_retrain_accuracy: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "cond_per_seed": self.cond_per_seed,
-            "uncond_per_seed": self.uncond_per_seed,
-            "cond_mean": self.cond_mean,
-            "uncond_mean": self.uncond_mean,
-            "accuracy_delta": self.accuracy_delta,
-            "cond_bytes": self.cond_bytes,
-            "uncond_bytes": self.uncond_bytes,
-            "memory_ratio": self.memory_ratio,
-            "no_retrain_accuracy": self.no_retrain_accuracy,
-        }
+        return asdict(self)
 
 
 def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,

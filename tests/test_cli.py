@@ -153,6 +153,42 @@ def test_format_error_exit_code(tiny):
     assert run(cfg, out, "prune") == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("rewrite", [
+    lambda text: "[]",
+    lambda text: '{"artifacts": 5}',
+    lambda text: text[:len(text) // 2],
+], ids=["list", "artifacts-not-a-map", "truncated"])
+def test_malformed_manifest_exit_code(tiny, capsys, rewrite):
+    """A manifest that does not parse, or is not an object mapping artifact
+    names to digests, is a malformed artifact, named in the message."""
+    cfg, out = tiny
+    assert run(cfg, out, "synth-data") == 0
+    assert run(cfg, out, "train-source") == 0
+    manifest = out / "manifest_train-source.json"
+    manifest.write_text(rewrite(manifest.read_text()), encoding="utf-8")
+    assert run(cfg, out, "prune") == cli.EXIT_FORMAT
+    assert "manifest_train-source.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"support": [0, 1]}', "[1, 2]"],
+                         ids=["no-probs", "list"])
+def test_malformed_domain_exit_code(tiny, capsys, text):
+    """A domain.json without a list of probabilities is malformed, even when
+    its manifest records its bytes."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
+                 ("train-cvae",), ("estimate-domain",)]:
+        assert run(cfg, out, *argv) == 0
+    (out / cli.DOMAIN).write_text(text, encoding="utf-8")
+    manifest_path = out / "manifest_estimate-domain.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"][cli.DOMAIN] = hashlib.sha256(text.encode()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(cfg, out, "adapt", "--labels", "estimated") == cli.EXIT_FORMAT
+    assert cli.DOMAIN in capsys.readouterr().err
+    assert not (out / cli.ADAPTED).exists()
+
+
 def test_checksum_refusal_exit_code(tiny):
     """evaluate must refuse inputs whose bytes no longer match the manifest."""
     cfg, out = tiny
@@ -250,6 +286,30 @@ def test_estimate_domain_stream_flag(tiny):
     assert domain["observed"] == 40  # 4 classes x 10 val rows
     missing = run(cfg, out, "estimate-domain", "--stream", str(out / "nope.lpac"))
     assert missing == cli.EXIT_MISSING
+
+
+def test_stream_that_is_a_directory_exit_code(tiny, tmp_path, capsys):
+    """--stream naming a directory is a missing input file, named in the
+    message."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",)]:
+        assert run(cfg, out, *argv) == 0
+    stream_dir = tmp_path / "stream-dir"
+    stream_dir.mkdir()
+    assert run(cfg, out, "estimate-domain", "--stream", str(stream_dir)) == cli.EXIT_MISSING
+    assert str(stream_dir) in capsys.readouterr().err
+    assert not (out / cli.DOMAIN).exists()
+
+
+def test_out_that_is_a_file_exit_code(tiny, tmp_path, capsys):
+    """--out naming an existing regular file is an invalid argument, named in
+    the message, and the file is left as it was."""
+    cfg, _ = tiny
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    assert run(cfg, taken, "synth-data") == cli.EXIT_INVALID
+    assert "--out" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_out_dir_from_environment(tiny, tmp_path, monkeypatch):

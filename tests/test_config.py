@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from loco_pda.config import (
@@ -69,6 +71,35 @@ def test_render_parse_round_trip():
     assert again == cfg
     # canonical form is a fixed point
     assert render_config(again) == text
+
+
+def _non_default(f):
+    """A valid value other than field f's default, chosen by its type."""
+    if f.name == "extra_subsets":
+        return ((6, 7), (8,))
+    if isinstance(f.default, tuple):  # still ascending, in range and distinct
+        return f.default[1:] + (f.default[-1] + 1,)
+    if isinstance(f.default, float):  # every float bound is kept by halving
+        return f.default / 2 if f.default else 0.5
+    return f.default + 1
+
+
+def test_render_parse_round_trip_of_every_field():
+    """Every field set away from its default survives rendering and parsing,
+    so no field can be left out of the canonical text (and the hash)."""
+    cfg = PipelineConfig(**{f.name: _non_default(f) for f in fields(PipelineConfig)})
+    cfg.validate()
+    default = PipelineConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name)
+               for f in fields(PipelineConfig))
+    assert parse_config_text(render_config(cfg)) == cfg
+
+
+def test_default_config_hash_is_pinned():
+    """The canonical rendering of the defaults (key names, section and key
+    order, value forms) is the identity every manifest records."""
+    assert config_hash(PipelineConfig()) == (
+        "fae288ca17621c2de5404ec117296ff85f5a82cfa582a75ffbd0f572b3ea171a")
 
 
 def test_parse_overrides_single_key():
