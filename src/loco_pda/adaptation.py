@@ -41,6 +41,9 @@ class ClassDistribution:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1:
             raise ValueError(f"probs must be 1-D, got shape {self.probs.shape}")
+        bad = np.flatnonzero(~np.isfinite(self.probs))
+        if bad.size:
+            raise ValueError(f"probability of class {bad[0]} is {self.probs[bad[0]]}, not finite")
         if (self.probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         total = float(self.probs.sum())

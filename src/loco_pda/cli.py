@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from functools import cached_property, partial
@@ -155,8 +156,10 @@ def _is_digest_map(value) -> bool:
 
 
 def _is_number_list(value) -> bool:
-    # json gives int or float for every number, and bool for true and false
-    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
+    # json gives int or float for every number, and bool for true and false;
+    # Python's parser also reads NaN and Infinity as floats
+    return isinstance(value, list) and all(
+        type(v) is int or (type(v) is float and math.isfinite(v)) for v in value)
 
 
 def _write_json(path: Path, obj) -> None:

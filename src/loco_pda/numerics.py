@@ -158,10 +158,41 @@ class DenseLayer:
         return grad_in, grad_w, grad_b
 
 
+# An inference forward runs its rows in blocks, each block's widest layer
+# output within this many bytes, so no batch-sized hidden activation is held.
+BLOCK_BYTES = 2 << 20
+
+
 def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) -> np.ndarray:
+    """Forward through a layer stack; keep caches every layer for backward.
+
+    Without keep, an input of at least two blocks runs block by block into one
+    output. The remainder joins the last block, because a short tail can take
+    another BLAS kernel and round differently; with every block at least a
+    block's rows, the output has the bits of a one-shot forward (a test
+    checks this against the BLAS in use)."""
+    if not keep and layers:
+        n = x.shape[-2]
+        block = BLOCK_BYTES // (x.itemsize * max(layer.out_dim for layer in layers))
+        if n >= 2 * block:
+            return _blocked_forward(layers, x, block)
     for layer in layers:
         x = layer.forward(x, keep)
     return x
+
+
+def _blocked_forward(layers: list[DenseLayer], x: np.ndarray, block: int) -> np.ndarray:
+    n = x.shape[-2]
+    bounds = [*range(0, n - block + 1, block), n]  # the last block takes the remainder
+    out = None
+    for start, end in zip(bounds, bounds[1:]):
+        y = x[..., start:end, :]
+        for layer in layers:
+            y = layer.forward(y, keep=False)
+        if out is None:
+            out = np.empty(y.shape[:-2] + (n, y.shape[-1]), dtype=y.dtype)
+        out[..., start:end, :] = y
+    return out
 
 
 def stack_backward(layers: list[DenseLayer], grad_out: np.ndarray,

@@ -45,6 +45,18 @@ def test_distribution_validation():
         ClassDistribution(np.array([[0.5, 0.5]]))
 
 
+@pytest.mark.parametrize("probs, named", [
+    ([np.nan, 1.0], "class 0 is nan"),
+    ([0.5, 0.5, np.inf], "class 2 is inf"),
+    ([-np.inf, 1.0], "class 0 is -inf"),
+], ids=["nan", "inf", "minus-inf"])
+def test_distribution_rejects_non_finite(probs, named):
+    """A non-finite probability is refused up front and named, not left to
+    pass the sum check (nan) or to fail later in allocate_counts."""
+    with pytest.raises(ValueError, match=f"{named}, not finite"):
+        ClassDistribution(np.array(probs))
+
+
 def test_distribution_from_labels_and_support():
     dist = ClassDistribution.from_labels(np.array([0, 0, 2, 2, 2, 3]), 5)
     np.testing.assert_allclose(dist.probs, [2 / 6, 0, 3 / 6, 1 / 6, 0])

@@ -189,6 +189,26 @@ def test_malformed_domain_exit_code(tiny, capsys, text):
     assert not (out / cli.ADAPTED).exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_domain_exit_code(tiny, capsys, value):
+    """Python's JSON parser reads NaN and Infinity; a domain.json holding one
+    is a malformed artifact, named in the message, even when its manifest
+    records its bytes."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
+                 ("train-cvae",), ("estimate-domain",)]:
+        assert run(cfg, out, *argv) == 0
+    text = '{"probs": [%s, 0.5, 0.5, 0.0]}' % value
+    (out / cli.DOMAIN).write_text(text, encoding="utf-8")
+    manifest_path = out / "manifest_estimate-domain.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"][cli.DOMAIN] = hashlib.sha256(text.encode()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(cfg, out, "adapt", "--labels", "estimated") == cli.EXIT_FORMAT
+    assert str(out / cli.DOMAIN) in capsys.readouterr().err
+    assert not (out / cli.ADAPTED).exists()
+
+
 def test_checksum_refusal_exit_code(tiny):
     """evaluate must refuse inputs whose bytes no longer match the manifest."""
     cfg, out = tiny

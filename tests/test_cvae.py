@@ -7,6 +7,7 @@ they stay fast; the full 20-class checks live in the acceptance suite.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,3 +434,32 @@ def test_no_layer_keeps_a_batch_after_training_or_generation():
     stacks = [m0.layers, mp.layers, gen.encoder, gen.decoder]
     stacks += [vae.encoder for vae in pack.vaes] + [vae.decoder for vae in pack.vaes]
     assert [_cached_batches(layers) for layers in stacks] == [[]] * len(stacks)
+
+
+# --- inference memory ---
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_transients_stay_within_a_block():
+    """Latent alignment over 4,000 training rows and a 3,000-row generated
+    pool, at the default widths, never hold a batch-sized hidden layer. The
+    largest row block has under two blocks' rows, so its widest output stays
+    under 2 x numerics.BLOCK_BYTES = 4 MiB; the rest of the ceiling covers
+    the next layer's block output and the call's own full-length arrays
+    (conditioned input, one-hot, output). A one-shot forward held a 16.4 MB
+    encoder layer and a 6.1 MB decoder layer here."""
+    ceiling = 6 << 20
+    rng = derive_rng(14, 4)
+    model = CvaeModel.create(rng, 16, 20)
+    feats = rng.standard_normal((4000, 16)).astype(np.float32)
+    labels = np.arange(4000) % 20
+    assert _traced_peak(align_latent, model, feats, labels) < ceiling
+    assert _traced_peak(generate_activations, model, np.full(20, 150), 3) < ceiling

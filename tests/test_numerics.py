@@ -13,7 +13,10 @@ from loco_pda.errors import (
     ShapeError,
     StateError,
 )
+from loco_pda.cvae import CvaeModel
+from loco_pda.models import DEFAULT_FEATURE_WIDTHS, build_mlp
 from loco_pda.numerics import (
+    BLOCK_BYTES,
     Activation,
     Adam,
     DenseLayer,
@@ -435,6 +438,62 @@ def test_forward_without_keep_leaves_nothing_for_backward(rng):
     layer.backward(np.zeros((4, 2), dtype=np.float32))
     with pytest.raises(StateError):  # the cache went with the first backward
         layer.backward(np.zeros((4, 2), dtype=np.float32))
+
+
+def _one_shot_forward(layers, x):
+    for layer in layers:
+        x = layer.forward(x, keep=False)
+    return x
+
+
+def _default_cvae_stacks():
+    """Encoder (36->1024->128->64->32) and decoder (36->512->16) of a default
+    CVAE over 16-wide activations and 20 classes, with nonzero biases."""
+    rng = derive_rng(14, 1)
+    model = CvaeModel.create(rng, 16, 20)
+    for layer in model.encoder + model.decoder:
+        layer.bias[:] = rng.standard_normal(layer.bias.shape).astype(np.float32)
+    return {"encoder": model.encoder, "decoder": model.decoder}
+
+
+@pytest.mark.parametrize("stack, block", [("encoder", 512), ("decoder", 1024)])
+def test_blocked_inference_forward_is_bitwise_one_shot(stack, block):
+    """An inference forward of at least two blocks runs in row blocks, the
+    remainder joined to the last one; every row count here gives the bits of
+    a one-shot forward. A BLAS build that rounds a product differently by
+    its row count fails this test."""
+    layers = _default_cvae_stacks()[stack]
+    widest = max(layer.out_dim for layer in layers)
+    assert BLOCK_BYTES // (4 * widest) == block
+    rng = derive_rng(14, 2)
+    for rows in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 3000, 3400, 4000):
+        x = rng.standard_normal((rows, layers[0].in_dim)).astype(np.float32)
+        got = stack_forward(layers, x, keep=False)
+        want = _one_shot_forward(layers, x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), f"{stack}, {rows} rows"
+
+
+def test_blocked_forward_counts_one_call_per_layer_and_block(monkeypatch):
+    calls = []
+    forward = DenseLayer.forward
+
+    def counted(self, x, keep=True):
+        calls.append(x.shape[0])
+        return forward(self, x, keep)
+
+    monkeypatch.setattr(DenseLayer, "forward", counted)
+    encoder = _default_cvae_stacks()["encoder"]
+    x = np.zeros((4000, 36), dtype=np.float32)
+    stack_forward(encoder, x, keep=False)
+    # 4,000 rows in 512-row blocks: six blocks and a last one of 928 rows
+    assert calls == [rows for rows in [512] * 6 + [928] for _ in encoder]
+    calls.clear()
+    # a default classifier's widest layer is 64 wide, so 4,000 rows are far
+    # below two blocks and run one-shot: one forward call per layer
+    mlp = build_mlp(derive_rng(14, 3), 32, DEFAULT_FEATURE_WIDTHS, 20)
+    mlp.forward(np.zeros((4000, 32), dtype=np.float32))
+    assert calls == [4000] * len(mlp.layers)
 
 
 def test_derive_rng_streams_are_stable_and_distinct():
