@@ -73,13 +73,13 @@ def estimate_domain(m0: MlpModel, observed) -> ClassDistribution:
     """
     if isinstance(observed, np.ndarray):
         observed = [observed]
-    counts = np.zeros(m0.meta.num_classes, dtype=np.int64)
+    counts = np.zeros(m0.num_classes, dtype=np.int64)
     total = 0
     for chunk in observed:
         if chunk.shape[0] == 0:
             continue
         preds = m0.predict(chunk)
-        counts += np.bincount(preds, minlength=m0.meta.num_classes)
+        counts += np.bincount(preds, minlength=m0.num_classes)
         total += chunk.shape[0]
     if total == 0:
         raise ValueError("empty observation stream")
@@ -180,14 +180,14 @@ def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray
                         seed=seeds if lead else seeds[0])
     post = [None] * k
     if val is not None:
-        stacked = MlpModel(mp.fe_layers + [fcs], mp.feature_boundary, mp.meta)
+        stacked = MlpModel(mp.fe_layers + [fcs])
         post = np.reshape((stacked.predict(val[0]) == val[1]).mean(axis=-1), -1).tolist()
     weights, biases = fcs.weight.reshape((k,) + fc.weight.shape), fcs.bias.reshape(k, -1)
     return [(MlpModel(mp.fe_layers + [DenseLayer(weights[j], biases[j], fc.activation)],
-                      mp.feature_boundary, replace(mp.meta)),
+                      mp.prune_fraction),
              AdaptationReport(
                  method=method, label_mode=label_mode,
-                 class_counts=np.bincount(labels[j], minlength=mp.meta.num_classes).tolist(),
+                 class_counts=np.bincount(labels[j], minlength=mp.num_classes).tolist(),
                  rows_used=labels.shape[1], epochs_run=hyper.epochs,
                  pre_accuracy=pre_accuracy, post_accuracy=post[j]))
             for j in range(k)]
@@ -201,14 +201,14 @@ def adapt_classifier_seeds(mp: MlpModel, generator: CvaeModel | UncondVaePack,
     one (model, report) per seed, in seed order. The pools are decoded one
     seed at a time, so the decode transient is one pool's, not K pools'."""
     cfg = cfg or AdaptationConfig()
-    if (generator.a_dim != mp.meta.activation_dim
-            or generator.num_classes != mp.meta.num_classes):
+    if (generator.a_dim != mp.activation_dim
+            or generator.num_classes != mp.num_classes):
         raise ConfigError(
             f"generator covers [{generator.num_classes} classes x {generator.a_dim} dims], "
-            f"model expects [{mp.meta.num_classes} x {mp.meta.activation_dim}]"
+            f"model expects [{mp.num_classes} x {mp.activation_dim}]"
         )
     counts = allocate_counts(dist, cfg.total_generated)
-    pools = np.empty((len(seeds), cfg.total_generated, mp.meta.activation_dim), dtype=F32)
+    pools = np.empty((len(seeds), cfg.total_generated, mp.activation_dim), dtype=F32)
     for j, seed in enumerate(seeds):
         pool = generate_activations(generator, counts, seed=seed)
         pools[j] = pool.features
@@ -338,7 +338,6 @@ class Scenario:
         self.target_stream = _read_only(*class_rows(ds.train_x, ds.train_y, classes))
         self.target_val = _read_only(*class_rows(ds.val_x, ds.val_y, classes))
         self._reports: dict[tuple, AdaptationReport] = {}
-        self._generators: dict[int, CvaeModel | UncondVaePack] = {}
 
     @cached_property
     def stored(self) -> ActivationBatch:
@@ -394,12 +393,11 @@ class Scenario:
         the class counts and the seed, so two distributions that round to the
         same counts share a run."""
         generator = self.cvae if generator is None else generator
-        # kept alive, so that no other generator can take over its id
-        self._generators[id(generator)] = generator
         counts = tuple(allocate_counts(dist, cfg.total_generated).tolist())
         # repr tells apart floats that == does not, such as -0.0 and 0.0
         hyper = repr(astuple(cfg.hyper))
-        keys = [("loco", id(generator), counts, seed, hyper) for seed in seeds]
+        # the generator hashes by identity, and the key keeps it alive
+        keys = [("loco", generator, counts, seed, hyper) for seed in seeds]
         return self._memo(keys, seeds, cfg.label_mode, adapt_classifier,
                           adapt_classifier_seeds, mp=self.mp, generator=generator,
                           dist=dist, cfg=cfg)

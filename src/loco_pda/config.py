@@ -136,10 +136,6 @@ class PipelineConfig:
                        lr_gamma=self.baseline_lr_gamma,
                        momentum=self.baseline_momentum)
 
-    @property
-    def activation_dim(self) -> int:
-        return self.feature_widths[-1]
-
     def validate(self) -> None:
         def bad(msg):
             raise ConfigError(msg)

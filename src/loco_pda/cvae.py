@@ -91,27 +91,22 @@ CLASS_INPUT_GAIN = 30.0
 
 
 class CvaeModel:
-    """Encoder/decoder pair; num_classes == 0 means no conditioning input."""
+    """Encoder/decoder pair; num_classes == 0 means no conditioning input.
+    Its dimensions are read from the layer widths, which never change."""
 
-    def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer],
-                 a_dim: int, num_classes: int, z_dim: int):
-        if encoder[0].in_dim != a_dim + num_classes:
-            raise ShapeError(
-                f"encoder input {encoder[0].in_dim} != activation {a_dim} + classes {num_classes}"
-            )
-        if encoder[-1].out_dim != 2 * z_dim:
-            raise ShapeError(f"encoder output {encoder[-1].out_dim} != 2 * z_dim {z_dim}")
-        if decoder[0].in_dim != z_dim + num_classes:
-            raise ShapeError(
-                f"decoder input {decoder[0].in_dim} != z_dim {z_dim} + classes {num_classes}"
-            )
-        if decoder[-1].out_dim != a_dim:
-            raise ShapeError(f"decoder output {decoder[-1].out_dim} != activation dim {a_dim}")
+    def __init__(self, encoder: list[DenseLayer], decoder: list[DenseLayer]):
+        self.z_dim, odd = divmod(encoder[-1].out_dim, 2)
+        self.num_classes = decoder[0].in_dim - self.z_dim
+        self.a_dim = decoder[-1].out_dim
+        if odd:
+            raise ShapeError(f"encoder output {encoder[-1].out_dim} is odd, not 2 * z_dim")
+        if self.num_classes < 0:
+            raise ShapeError(f"decoder input {decoder[0].in_dim} < z_dim {self.z_dim}")
+        if encoder[0].in_dim != self.a_dim + self.num_classes:
+            raise ShapeError(f"encoder input {encoder[0].in_dim} != activation "
+                             f"{self.a_dim} + classes {self.num_classes}")
         self.encoder = encoder
         self.decoder = decoder
-        self.a_dim = a_dim
-        self.num_classes = num_classes
-        self.z_dim = z_dim
 
     @classmethod
     def create(cls, rng: np.random.Generator, a_dim: int, num_classes: int,
@@ -141,7 +136,7 @@ class CvaeModel:
         decoder.append(DenseLayer.create(rng, in_dim, a_dim, Activation.IDENTITY))
         if num_classes > 0:
             decoder[0].weight[:, z_dim:] *= F32(CLASS_INPUT_GAIN)
-        return cls(encoder, decoder, a_dim, num_classes, z_dim)
+        return cls(encoder, decoder)
 
     def named_params(self) -> dict[str, np.ndarray]:
         params = stack_params(self.encoder, prefix="enc")
@@ -320,9 +315,10 @@ def train_cvae(batch: ActivationBatch, num_classes: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class UncondVaePack:
-    """One small unconditional model per class, trained on that class only."""
+    """One small unconditional model per class, trained on that class only.
+    Hashed by identity, like CvaeModel, so that it can key the Scenario memo."""
 
     vaes: list[CvaeModel]
 

@@ -113,7 +113,7 @@ def build_ledger(spec: LedgerSpec) -> MemoryLedger:
     ledger = MemoryLedger(spec.method)
     ledger.add("deployed-model", MemoryCategory.STATIC_NETWORK, model_memory_bytes(spec.m0))
     ledger.add("pruned-model", MemoryCategory.STATIC_NETWORK, model_memory_bytes(spec.mp))
-    a_dim = spec.mp.meta.activation_dim
+    a_dim = spec.mp.activation_dim
     row = stored_row_bytes(a_dim)
     fc_runtime = training_runtime_bytes([spec.mp.fc_layer], spec.batch_size, "sgd")
     if spec.method == "loco":
@@ -187,7 +187,7 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
         raise ValueError("budgets must be strictly ascending")
     _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
-    row = stored_row_bytes(scenario.mp.meta.activation_dim)
+    row = stored_row_bytes(scenario.mp.activation_dim)
     no_retrain = scenario.unadapted_accuracy
     loco_mean = float(np.mean([r.post_accuracy
                                for r in scenario.ground_truth_adaptation(cfg, seeds)]))

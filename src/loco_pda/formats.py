@@ -12,8 +12,9 @@ Activation file ("LPAC"):
 Model file ("LPMD"):
     magic | version u32 | kind u8 | layer_count u32
     | per layer: in u32, out u32, act u8, out*in f32 weights, out f32 bias
-    | metadata: classes u32, act_dim u32, z_dim u32, prune_fraction f32,
-      feature_boundary u32
+    | metadata, all but prune_fraction computed from the layers on save and
+      checked against them on load: classes u32, act_dim u32, z_dim u32,
+      prune_fraction f32, feature_boundary u32
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .cvae import CvaeModel
 from .errors import FormatError, TruncationError, UnsupportedVersionError
-from .models import ActivationBatch, MlpModel, ModelMeta
+from .models import ActivationBatch, MlpModel
 from .numerics import Activation, DenseLayer
 
 ACTIVATION_MAGIC = b"LPAC"
@@ -236,9 +237,9 @@ def save_mlp(path, model: MlpModel) -> None:
     with open(path, "wb") as fh:
         fh.write(model_bytes(
             KIND_MLP, model.layers,
-            classes=model.meta.num_classes, act_dim=model.meta.activation_dim,
-            z_dim=0, prune_fraction=model.meta.prune_fraction,
-            feature_boundary=model.feature_boundary,
+            classes=model.num_classes, act_dim=model.activation_dim,
+            z_dim=0, prune_fraction=model.prune_fraction,
+            feature_boundary=len(model.layers) - 1,
         ))
 
 
@@ -246,8 +247,7 @@ def load_mlp(path) -> MlpModel:
     kind, layers, meta = load_model_file(path)
     if kind != KIND_MLP:
         raise FormatError(f"{path}: expected an MLP model file, got kind {kind}")
-    mm = ModelMeta(meta["prune_fraction"], meta["classes"], meta["act_dim"])
-    return MlpModel(layers, meta["feature_boundary"], mm)
+    return MlpModel(layers, meta["prune_fraction"])
 
 
 # --- CVAE convenience wrappers (encoder and decoder are separate files) ---
@@ -274,5 +274,4 @@ def load_cvae(enc_path, dec_path) -> CvaeModel:
         raise FormatError(
             f"{enc_path} / {dec_path}: encoder and decoder metadata disagree"
         )
-    return CvaeModel(encoder, decoder, enc_meta["act_dim"], enc_meta["classes"],
-                     enc_meta["z_dim"])
+    return CvaeModel(encoder, decoder)

@@ -115,46 +115,34 @@ def synth_dataset(spec: DatasetSpec) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelMeta:
-    prune_fraction: float
-    num_classes: int
-    activation_dim: int
-
-
 class MlpModel:
-    """Feature extractor plus one identity-activation linear classifier.
+    """Feature extractor plus one identity-activation linear classifier: the
+    final layer, whose shape [num_classes x activation_dim] is the model's."""
 
-    feature_boundary indexes the first classifier layer; everything before it
-    is the FE. The classifier is always exactly one layer of shape
-    [num_classes x activation_dim].
-    """
-
-    def __init__(self, layers: list[DenseLayer], feature_boundary: int, meta: ModelMeta):
-        if feature_boundary != len(layers) - 1:
-            raise ShapeError("classifier must be exactly the final layer")
-        fc = layers[-1]
-        if fc.activation != Activation.IDENTITY:
+    def __init__(self, layers: list[DenseLayer], prune_fraction: float = 0.0):
+        if layers[-1].activation != Activation.IDENTITY:
             raise ShapeError("classifier layer must have identity activation")
-        if fc.out_dim != meta.num_classes or fc.in_dim != meta.activation_dim:
-            raise ShapeError(
-                f"classifier shape [{fc.out_dim} x {fc.in_dim}] does not match "
-                f"metadata [{meta.num_classes} x {meta.activation_dim}]"
-            )
         for a, b in zip(layers, layers[1:]):
             if a.out_dim != b.in_dim:
                 raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
         self.layers = layers
-        self.feature_boundary = feature_boundary
-        self.meta = meta
+        self.prune_fraction = prune_fraction
 
     @property
     def fe_layers(self) -> list[DenseLayer]:
-        return self.layers[: self.feature_boundary]
+        return self.layers[:-1]
 
     @property
     def fc_layer(self) -> DenseLayer:
         return self.layers[-1]
+
+    @property
+    def num_classes(self) -> int:
+        return self.fc_layer.out_dim
+
+    @property
+    def activation_dim(self) -> int:
+        return self.fc_layer.in_dim
 
     def features(self, x: np.ndarray) -> np.ndarray:
         return stack_forward(self.fe_layers, x, keep=False)
@@ -292,15 +280,14 @@ DEFAULT_SOURCE_HYPER = TrainHyper(epochs=15, batch_size=64, lr=1e-3)
 
 
 def build_mlp(rng: np.random.Generator, input_dim: int, feature_widths: tuple[int, ...],
-              num_classes: int, prune_fraction: float = 0.0) -> MlpModel:
+              num_classes: int) -> MlpModel:
     layers = []
     in_dim = input_dim
     for width in feature_widths:
         layers.append(DenseLayer.create(rng, in_dim, width, Activation.RELU))
         in_dim = width
     layers.append(DenseLayer.create(rng, in_dim, num_classes, Activation.IDENTITY))
-    meta = ModelMeta(prune_fraction, num_classes, feature_widths[-1])
-    return MlpModel(layers, len(layers) - 1, meta)
+    return MlpModel(layers)
 
 
 def train_source_model(dataset: LabeledDataset, feature_widths: tuple[int, ...] = DEFAULT_FEATURE_WIDTHS,
@@ -355,9 +342,7 @@ def prune_model(m0: MlpModel, fraction: float, dataset: LabeledDataset,
             bias = bias[keep]
             carry = keep
         new_layers.append(DenseLayer(weight, bias, layer.activation))
-    act_dim = new_layers[-1].out_dim
-    fc = DenseLayer.create(rng, act_dim, m0.meta.num_classes, Activation.IDENTITY)
-    meta = ModelMeta(fraction, m0.meta.num_classes, act_dim)
-    mp = MlpModel(new_layers + [fc], len(new_layers), meta)
+    fc = DenseLayer.create(rng, new_layers[-1].out_dim, m0.num_classes, Activation.IDENTITY)
+    mp = MlpModel(new_layers + [fc], fraction)
     train_softmax_stack(mp.layers, dataset.train_x, dataset.train_y, finetune_hyper, seed=seed)
     return mp

@@ -23,10 +23,6 @@ F32 = np.float32
 # jumps, identical stream for a given seed on every platform numpy supports.
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     """Independent stream for (seed, keys). Same tuple, same stream."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *keys])))
@@ -167,10 +163,11 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) ->
     """Forward through a layer stack; keep caches every layer for backward.
 
     Without keep, an input of at least two blocks runs block by block into one
-    output. The remainder joins the last block, because a short tail can take
-    another BLAS kernel and round differently; with every block at least a
-    block's rows, the output has the bits of a one-shot forward (a test
-    checks this against the BLAS in use)."""
+    output: n rows split into n // block near-equal blocks. None is shorter
+    than a block, because a short block can take another BLAS kernel and
+    round differently; with every block at least a block's rows, the output
+    has the bits of a one-shot forward (a test checks this against the BLAS
+    in use). None is longer than 1.5 blocks."""
     if not keep and layers:
         n = x.shape[-2]
         block = BLOCK_BYTES // (x.itemsize * max(layer.out_dim for layer in layers))
@@ -183,7 +180,8 @@ def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) ->
 
 def _blocked_forward(layers: list[DenseLayer], x: np.ndarray, block: int) -> np.ndarray:
     n = x.shape[-2]
-    bounds = [*range(0, n - block + 1, block), n]  # the last block takes the remainder
+    count = n // block
+    bounds = [n * i // count for i in range(count + 1)]
     out = None
     for start, end in zip(bounds, bounds[1:]):
         y = x[..., start:end, :]
@@ -245,21 +243,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     return loss, grad
 
 
-def softmax_xent_loss(logits: np.ndarray, labels: np.ndarray):
-    """Mean negative log-softmax of the true class. Returns (loss, grad_logits)."""
-    labels = np.asarray(labels)
-    batch, num_classes = logits.shape
-    if labels.shape != (batch,):
-        raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise LabelError(f"label out of range [0, {num_classes})")
-    loss, grad, _ = softmax_xent(logits, labels)
-    return float(loss), grad
-
-
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """softmax_xent_loss on labels already checked, plus each row's argmax.
-    Returns (loss, grad_logits, argmax).
+    """Mean negative log-softmax of the true class, on labels the caller has
+    checked, plus each row's argmax. Returns (loss, grad_logits, argmax).
 
     The argmax also gives the row maximum that the exp is shifted by (a
     maximum is exact however it is found), and one exp and one row sum serve

@@ -1,12 +1,30 @@
-"""Helpers that only the tests use: a finite-difference gradient checker,
-Spearman rank correlation and a one-class distribution."""
+"""Helpers that only the tests use: a seeded RNG, a checked softmax
+cross-entropy, a finite-difference gradient checker, Spearman rank
+correlation and a one-class distribution."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from loco_pda.adaptation import ClassDistribution
-from loco_pda.numerics import make_rng
+from loco_pda.errors import LabelError, ShapeError
+from loco_pda.numerics import softmax_xent
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def softmax_xent_loss(logits: np.ndarray, labels: np.ndarray):
+    """Mean negative log-softmax of the true class. Returns (loss, grad_logits)."""
+    labels = np.asarray(labels)
+    batch, num_classes = logits.shape
+    if labels.shape != (batch,):
+        raise ShapeError(f"labels shape {labels.shape} does not match batch {batch}")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise LabelError(f"label out of range [0, {num_classes})")
+    loss, grad, _ = softmax_xent(logits, labels)
+    return float(loss), grad
 
 
 def gradcheck(loss_fn, params: dict[str, np.ndarray], h: float = 1e-3,

@@ -45,15 +45,13 @@ from loco_pda.models import extract_activations, model_memory_bytes
 from loco_pda.numerics import (
     Activation,
     DenseLayer,
-    make_rng,
     mse_loss,
     one_hot,
-    softmax_xent_loss,
     stack_backward,
     stack_forward,
 )
 
-from helpers import gradcheck, spearman_rho
+from helpers import gradcheck, make_rng, softmax_xent_loss, spearman_rho
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -258,7 +256,7 @@ def test_criterion_08_memory_ledger_arithmetic(pipe0, uncond_pack_for):
                                    pool_rows=cfg.total_generated,
                                    batch_size=cfg.hyper.batch_size))
     by_name = {e.name: e.bytes for e in loco.entries}
-    row = stored_row_bytes(pipe0.mp.meta.activation_dim)
+    row = stored_row_bytes(pipe0.mp.activation_dim)
     transient = training_runtime_bytes([pipe0.mp.fc_layer], cfg.hyper.batch_size)
     assert by_name["stored-samples"] == 0
     assert by_name["deployed-model"] == model_memory_bytes(pipe0.m0)

@@ -22,7 +22,7 @@ from loco_pda.adaptation import (
 from loco_pda.errors import ConfigError, LabelError
 from loco_pda.models import ActivationBatch, TrainHyper, extract_activations
 
-from helpers import point_mass
+from helpers import make_rng, point_mass
 
 
 QUICK_ADAPT = AdaptationConfig(
@@ -204,7 +204,6 @@ def test_adaptation_config_rejects_nan_learning_rate():
 
 def test_adapt_rejects_mismatched_generator(pipe0):
     from loco_pda.cvae import CvaeModel
-    from loco_pda.numerics import make_rng
     wrong = CvaeModel.create(make_rng(0), a_dim=8, num_classes=20, z_dim=2,
                              enc_widths=(8,), dec_widths=(8,))
     dist = point_mass(0, 20)

@@ -21,7 +21,7 @@ def test_defaults_pin_the_recipe():
     assert cfg.classes == 20
     assert cfg.input_dim == 32
     assert cfg.feature_widths == (64, 32, 16)
-    assert cfg.activation_dim == 16
+    assert cfg.feature_widths[-1] == 16
     assert cfg.prune_fraction == pytest.approx(0.3)
     assert cfg.within_class_sigma == pytest.approx(0.8)
     # generator recipe

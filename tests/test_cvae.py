@@ -33,9 +33,9 @@ from loco_pda.models import (
     synth_dataset,
     train_source_model,
 )
-from loco_pda.numerics import derive_rng, make_rng, one_hot, stage_key
+from loco_pda.numerics import Activation, DenseLayer, derive_rng, one_hot, stage_key
 
-from helpers import gradcheck
+from helpers import gradcheck, make_rng
 
 
 # --- KL divergence ---
@@ -135,6 +135,35 @@ def test_create_shapes_unconditional():
     assert m.decoder[0].in_dim == 2
     mu, lv = m.encode(np.zeros((5, 4), dtype=np.float32), np.zeros((5, 0), dtype=np.float32))
     assert mu.shape == lv.shape == (5, 2)
+
+
+@pytest.mark.parametrize("num_classes", [3, 0])
+def test_dims_come_from_the_layers(num_classes):
+    m = _tiny_model(num_classes)
+    assert (m.a_dim, m.num_classes, m.z_dim) == (4, num_classes, 2)
+    rebuilt = CvaeModel(m.encoder, m.decoder)
+    assert (rebuilt.a_dim, rebuilt.num_classes, rebuilt.z_dim) == (4, num_classes, 2)
+
+
+def test_constructor_rejects_inconsistent_layers():
+    rng = make_rng(1)
+    m = _tiny_model()
+
+    def dense(i, o, act=Activation.IDENTITY):
+        return DenseLayer.create(rng, i, o, act)
+
+    # encoder output 5 cannot split into a mean and a log-variance per latent
+    odd_head = [m.encoder[0], dense(8, 5)]
+    with pytest.raises(ShapeError, match="encoder output"):
+        CvaeModel(odd_head, m.decoder)
+    # decoder input 5 = z 2 + 3 classes, so the encoder must take 4 + 3, not 4 + 2
+    narrow_in = [dense(6, 8, Activation.RELU), m.encoder[1]]
+    with pytest.raises(ShapeError, match="encoder input"):
+        CvaeModel(narrow_in, m.decoder)
+    # a decoder input narrower than the latent leaves a negative class count
+    short_dec = [dense(1, 6, Activation.RELU), m.decoder[1]]
+    with pytest.raises(ShapeError, match="decoder input"):
+        CvaeModel(m.encoder, short_dec)
 
 
 def test_composed_loss_gradients_with_frozen_noise(rng):
@@ -451,12 +480,13 @@ def _traced_peak(fn, *args):
 def test_inference_transients_stay_within_a_block():
     """Latent alignment over 4,000 training rows and a 3,000-row generated
     pool, at the default widths, never hold a batch-sized hidden layer. The
-    largest row block has under two blocks' rows, so its widest output stays
-    under 2 x numerics.BLOCK_BYTES = 4 MiB; the rest of the ceiling covers
+    largest row block has under 1.5 blocks' rows, so its widest output stays
+    under 1.5 x numerics.BLOCK_BYTES = 3 MiB; the rest of the ceiling covers
     the next layer's block output and the call's own full-length arrays
     (conditioned input, one-hot, output). A one-shot forward held a 16.4 MB
-    encoder layer and a 6.1 MB decoder layer here."""
-    ceiling = 6 << 20
+    encoder layer and a 6.1 MB decoder layer here, and a last block holding
+    the whole remainder peaked at 5.5 MiB."""
+    ceiling = 5 << 20
     rng = derive_rng(14, 4)
     model = CvaeModel.create(rng, 16, 20)
     feats = rng.standard_normal((4000, 16)).astype(np.float32)

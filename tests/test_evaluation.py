@@ -44,9 +44,8 @@ from loco_pda.models import (
     extract_activations,
     model_memory_bytes,
 )
-from loco_pda.numerics import make_rng
 
-from helpers import spearman_rho
+from helpers import make_rng, spearman_rho
 
 
 QUICK_ADAPT = AdaptationConfig(
@@ -407,7 +406,7 @@ def test_baseline_budget_keys_on_the_rows_it_buys(pipe0, training_calls):
     """A budget that buys every stored row is the unbounded run, and two
     budgets that buy the same number of rows share one run."""
     scenario = pipe0.scenario((0, 1, 2))
-    row = stored_row_bytes(pipe0.mp.meta.activation_dim)
+    row = stored_row_bytes(pipe0.mp.activation_dim)
     unbounded, = scenario.baseline(QUICK_BASELINE, (0,))
     assert scenario.baseline(QUICK_BASELINE, (0,), budget_bytes=10**9)[0] is unbounded
     ten, = scenario.baseline(QUICK_BASELINE, (0,), budget_bytes=10 * row)
@@ -524,7 +523,7 @@ def test_reused_reports_match_direct_runs_bit_for_bit(pipe0):
     loco_mean = float(np.mean([loco(true_dist, cfg, s).post_accuracy for s in seeds]))
     points = []
     for budget in [*budgets, None]:
-        if budget is not None and budget < stored_row_bytes(mp.meta.activation_dim):
+        if budget is not None and budget < stored_row_bytes(mp.activation_dim):
             per_seed = [no_retrain] * len(seeds)
         else:
             per_seed = [base(s, budget).post_accuracy for s in seeds]

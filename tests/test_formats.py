@@ -6,6 +6,7 @@ as a raw struct/index/unicode exception.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -18,8 +19,10 @@ from loco_pda.errors import (
     UnsupportedVersionError,
 )
 from loco_pda.models import ActivationBatch, DatasetSpec, synth_dataset, build_mlp
-from loco_pda.numerics import Activation, DenseLayer, make_rng
+from loco_pda.numerics import Activation, DenseLayer
 from loco_pda.cvae import CvaeModel
+
+from helpers import make_rng
 
 # header: magic(4) version(4) rows(4) cols(4) flag(1) pad(3)
 ACT_HEADER_LEN = 20
@@ -32,8 +35,9 @@ def _small_batch(with_labels=True) -> ActivationBatch:
 
 
 def _small_mlp():
-    return build_mlp(make_rng(3), input_dim=4, feature_widths=(6, 5),
-                     num_classes=3, prune_fraction=0.25)
+    model = build_mlp(make_rng(3), input_dim=4, feature_widths=(6, 5), num_classes=3)
+    model.prune_fraction = 0.25
+    return model
 
 
 def _small_cvae() -> CvaeModel:
@@ -137,9 +141,9 @@ def test_mlp_round_trip_bit_exact(tmp_path):
     p = tmp_path / "m.lpmd"
     formats.save_mlp(p, model)
     loaded = formats.load_mlp(p)
-    assert loaded.meta.num_classes == 3
-    assert loaded.meta.activation_dim == 5
-    assert loaded.meta.prune_fraction == pytest.approx(0.25)
+    assert loaded.num_classes == 3
+    assert loaded.activation_dim == 5
+    assert loaded.prune_fraction == pytest.approx(0.25)
     for got, want in zip(loaded.layers, model.layers):
         np.testing.assert_array_equal(got.weight, want.weight)
         np.testing.assert_array_equal(got.bias, want.bias)
@@ -160,6 +164,31 @@ def test_cvae_round_trip_preserves_generation(tmp_path):
     b = generate_activations(loaded, counts, seed=11)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+# sha256 of each model file written by an earlier release, whose footer was
+# kept as stored metadata rather than read from the layers
+PINNED_DIGESTS = {
+    "mlp": "76306c45b814f7087f376b7fc8613be2f011675283b90699d536087fa8762949",
+    "cvae-encoder": "7eb5c59856238656a890acaa1d7766fe85a8a501ce15d6a34c33e76a63bfe920",
+    "cvae-decoder": "abbdab0fbef21fca4ae7e1bb21f45618c77dcd6d15bb3ec7cde521499fbcc1d8",
+    "uncond-encoder": "96a21ba3a670b1781190f40ae07c6214419c18e614c4dbdb8177e5d7e2322cb3",
+    "uncond-decoder": "012bf7bd890e15bc53d4aed35a528bee0bb9d202d4f8847625ebdb2667454019",
+}
+
+
+def test_model_files_match_pinned_bytes(tmp_path):
+    """The footer computed from the layers is the footer, byte for byte, that
+    the same models were saved with before; a round trip alone would not show
+    a footer changed on both sides."""
+    formats.save_mlp(tmp_path / "mlp", _small_mlp())
+    formats.save_cvae(tmp_path / "cvae-encoder", tmp_path / "cvae-decoder", _small_cvae())
+    uncond = CvaeModel.create(make_rng(7), a_dim=4, num_classes=0, z_dim=2,
+                              enc_widths=(8,), dec_widths=(6,))
+    formats.save_cvae(tmp_path / "uncond-encoder", tmp_path / "uncond-decoder", uncond)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_DIGESTS}
+    assert got == PINNED_DIGESTS
 
 
 def test_cvae_swapped_files_rejected(tmp_path):

@@ -9,6 +9,7 @@ from loco_pda.errors import LabelError, NumericError, ShapeError
 from loco_pda.models import (
     DatasetSpec,
     EpochStats,
+    MlpModel,
     TrainHyper,
     build_mlp,
     class_means_for,
@@ -20,17 +21,19 @@ from loco_pda.models import (
     train_source_model,
 )
 from loco_pda.numerics import (
+    Activation,
     Adam,
     DenseLayer,
     LrSchedule,
     SgdMomentum,
     derive_rng,
-    make_rng,
     stack_backward,
     stack_forward,
     stack_params,
     stage_key,
 )
+
+from helpers import make_rng
 
 
 SMALL = DatasetSpec(num_classes=4, input_dim=8, train_per_class=50,
@@ -88,6 +91,25 @@ def test_forward_is_fc_of_features():
     feats = model.features(x)
     assert feats.shape == (10, 5)
     np.testing.assert_array_equal(model.forward(x), model.fc_layer.forward(feats))
+
+
+def test_mlp_shape_comes_from_its_classifier_layer():
+    model = build_mlp(make_rng(0), 8, (6, 5), 4)
+    assert (model.num_classes, model.activation_dim) == (4, 5)
+    assert model.fe_layers == model.layers[:-1]
+    assert model.prune_fraction == 0.0
+
+
+def test_mlp_rejects_relu_classifier_and_unchained_widths():
+    rng = make_rng(0)
+    relu_head = [DenseLayer.create(rng, 8, 6, Activation.RELU),
+                 DenseLayer.create(rng, 6, 4, Activation.RELU)]
+    with pytest.raises(ShapeError, match="identity"):
+        MlpModel(relu_head)
+    unchained = [DenseLayer.create(rng, 8, 6, Activation.RELU),
+                 DenseLayer.create(rng, 5, 4, Activation.IDENTITY)]
+    with pytest.raises(ShapeError, match="chain"):
+        MlpModel(unchained)
 
 
 def test_extract_activations_labels_and_provenance():
@@ -280,8 +302,8 @@ def test_prune_widths_and_activation_dim_preserved():
     widths = [l.out_dim for l in mp.fe_layers]
     # floor(0.3*64)=19 and floor(0.3*32)=9 units dropped; final layer untouched
     assert widths == [45, 23, 16]
-    assert mp.meta.activation_dim == 16
-    assert mp.meta.prune_fraction == pytest.approx(0.3)
+    assert mp.activation_dim == 16
+    assert mp.prune_fraction == pytest.approx(0.3)
     assert model_memory_bytes(mp) < model_memory_bytes(m0)
 
 

@@ -24,15 +24,13 @@ from loco_pda.numerics import (
     LrSchedule,
     SgdMomentum,
     derive_rng,
-    make_rng,
     mse_loss,
     one_hot,
-    softmax_xent_loss,
     stack_backward,
     stack_forward,
 )
 
-from helpers import gradcheck
+from helpers import gradcheck, make_rng, softmax_xent_loss
 
 
 def test_one_hot_rows():
@@ -458,15 +456,16 @@ def _default_cvae_stacks():
 
 @pytest.mark.parametrize("stack, block", [("encoder", 512), ("decoder", 1024)])
 def test_blocked_inference_forward_is_bitwise_one_shot(stack, block):
-    """An inference forward of at least two blocks runs in row blocks, the
-    remainder joined to the last one; every row count here gives the bits of
-    a one-shot forward. A BLAS build that rounds a product differently by
+    """An inference forward of at least two blocks runs in near-equal row
+    blocks, none shorter than a block; every row count here gives the bits
+    of a one-shot forward. A BLAS build that rounds a product differently by
     its row count fails this test."""
     layers = _default_cvae_stacks()[stack]
     widest = max(layer.out_dim for layer in layers)
     assert BLOCK_BYTES // (4 * widest) == block
     rng = derive_rng(14, 2)
-    for rows in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 3000, 3400, 4000):
+    for rows in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 3 * block - 1,
+                 3000, 3400, 4000, 5000):
         x = rng.standard_normal((rows, layers[0].in_dim)).astype(np.float32)
         got = stack_forward(layers, x, keep=False)
         want = _one_shot_forward(layers, x)
@@ -486,8 +485,10 @@ def test_blocked_forward_counts_one_call_per_layer_and_block(monkeypatch):
     encoder = _default_cvae_stacks()["encoder"]
     x = np.zeros((4000, 36), dtype=np.float32)
     stack_forward(encoder, x, keep=False)
-    # 4,000 rows in 512-row blocks: six blocks and a last one of 928 rows
-    assert calls == [rows for rows in [512] * 6 + [928] for _ in encoder]
+    # 4,000 rows over 4000 // 512 = 7 near-equal blocks of 571 or 572 rows
+    blocks = [571, 571, 572, 571, 572, 571, 572]
+    assert sum(blocks) == 4000
+    assert calls == [rows for rows in blocks for _ in encoder]
     calls.clear()
     # a default classifier's widest layer is 64 wide, so 4,000 rows are far
     # below two blocks and run one-shot: one forward call per layer
