@@ -14,7 +14,16 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from .adaptation import AdaptationConfig, DEFAULT_ADAPT_HYPER, DEFAULT_BASELINE_HYPER
-from .cvae import BetaSchedule, CvaeHyper
+from .cvae import (
+    DEFAULT_DEC_WIDTHS,
+    DEFAULT_ENC_WIDTHS,
+    DEFAULT_Z_DIM,
+    UNCOND_DEC_WIDTHS,
+    UNCOND_ENC_WIDTHS,
+    UNCOND_Z_DIM,
+    BetaSchedule,
+    CvaeHyper,
+)
 from .errors import ConfigError
 from .models import DatasetSpec, TrainHyper
 
@@ -61,9 +70,9 @@ class PipelineConfig:
     prune_fraction: float = _key("model", 0.3)
     finetune_epochs: int = _key("model", 5)
     finetune_lr: float = _key("model", 1e-3)
-    cvae_z_dim: int = _key("cvae", 16)
-    cvae_enc_widths: tuple = _key("cvae", (1024, 128, 64))
-    cvae_dec_widths: tuple = _key("cvae", (512,))
+    cvae_z_dim: int = _key("cvae", DEFAULT_Z_DIM)
+    cvae_enc_widths: tuple = _key("cvae", DEFAULT_ENC_WIDTHS)
+    cvae_dec_widths: tuple = _key("cvae", DEFAULT_DEC_WIDTHS)
     cvae_epochs: int = _key("cvae", 90)
     cvae_batch: int = _key("cvae", 128)
     cvae_lr: float = _key("cvae", 1e-3)
@@ -73,9 +82,9 @@ class PipelineConfig:
     beta_step: float = _key("cvae", 0.1)
     beta_every: int = _key("cvae", 3)
     beta_max: float = _key("cvae", 1.0)
-    uncond_z_dim: int = _key("uncond", 2)
-    uncond_enc_widths: tuple = _key("uncond", (128, 64))
-    uncond_dec_widths: tuple = _key("uncond", (64,))
+    uncond_z_dim: int = _key("uncond", UNCOND_Z_DIM)
+    uncond_enc_widths: tuple = _key("uncond", UNCOND_ENC_WIDTHS)
+    uncond_dec_widths: tuple = _key("uncond", UNCOND_DEC_WIDTHS)
     adapt_r: int = _key("adapt", 3000)
     adapt_epochs: int = _key("adapt", 50)
     adapt_batch: int = _key("adapt", 32)

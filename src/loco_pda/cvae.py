@@ -73,7 +73,7 @@ class BetaSchedule:
         return min(self.max_value, self.start + self.step * (epoch // self.every_epochs))
 
 
-DEFAULT_ENC_WIDTHS = (1024, 128, 64)
+DEFAULT_ENC_WIDTHS = (256, 128, 64)
 DEFAULT_DEC_WIDTHS = (512,)
 DEFAULT_Z_DIM = 16
 UNCOND_ENC_WIDTHS = (128, 64)

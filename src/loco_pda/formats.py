@@ -14,11 +14,13 @@ Model file ("LPMD"):
     | per layer: in u32, out u32, act u8, out*in f32 weights, out f32 bias
     | metadata, all but prune_fraction computed from the layers on save and
       checked against them on load: classes u32, act_dim u32, z_dim u32,
-      prune_fraction f32, feature_boundary u32
+      prune_fraction f32, feature_boundary u32; a field the kind does not use
+      (an MLP's z_dim, a CVAE file's prune_fraction and feature_boundary) is 0
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -194,6 +196,12 @@ def parse_model(buf: bytes, path: str = "<bytes>"):
 
 def _validate_kind(kind: int, layers: list[DenseLayer], meta: dict, path: str) -> None:
     s, a_dim, z_dim = meta["classes"], meta["act_dim"], meta["z_dim"]
+    # saving writes 0 (not -0.0) to each field its kind does not use, so a file
+    # holding anything else there would not survive save(load(f)) byte for byte
+    unused = ("z_dim",) if kind == KIND_MLP else ("prune_fraction", "feature_boundary")
+    for name in unused:
+        if meta[name] != 0 or math.copysign(1, meta[name]) < 0:
+            raise FormatError(f"{path}: unused field {name} is {meta[name]}, not 0")
     if kind == KIND_MLP:
         if meta["feature_boundary"] != len(layers) - 1:
             raise FormatError(f"{path}: feature boundary must index the final layer")

@@ -156,7 +156,7 @@ class DenseLayer:
 
 # An inference forward runs its rows in blocks, each block's widest layer
 # output within this many bytes, so no batch-sized hidden activation is held.
-BLOCK_BYTES = 2 << 20
+BLOCK_BYTES = 1 << 20
 
 
 def stack_forward(layers: list[DenseLayer], x: np.ndarray, keep: bool = True) -> np.ndarray:

@@ -168,7 +168,7 @@ def test_criterion_03_beta_schedule():
 
 def test_criterion_04_distribution_matching(pipeline_for):
     started = time.monotonic()
-    for seed in (0, 1, 2):
+    for seed in SEEDS:
         pipe = pipeline_for(seed)
         s = pipe.dataset.spec.num_classes
         assert s == 20

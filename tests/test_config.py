@@ -26,7 +26,7 @@ def test_defaults_pin_the_recipe():
     assert cfg.within_class_sigma == pytest.approx(0.8)
     # generator recipe
     assert cfg.cvae_z_dim == 16
-    assert cfg.cvae_enc_widths == (1024, 128, 64)
+    assert cfg.cvae_enc_widths == (256, 128, 64)
     assert cfg.cvae_dec_widths == (512,)
     assert cfg.cvae_epochs == 90
     assert cfg.cvae_batch == 128
@@ -99,7 +99,7 @@ def test_default_config_hash_is_pinned():
     """The canonical rendering of the defaults (key names, section and key
     order, value forms) is the identity every manifest records."""
     assert config_hash(PipelineConfig()) == (
-        "fae288ca17621c2de5404ec117296ff85f5a82cfa582a75ffbd0f572b3ea171a")
+        "7cfbd38f5f785f4e73d06045f345669f3894e1c725d9c26ad18be3b138711b10")
 
 
 def test_parse_overrides_single_key():

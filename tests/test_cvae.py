@@ -481,11 +481,12 @@ def test_inference_transients_stay_within_a_block():
     """Latent alignment over 4,000 training rows and a 3,000-row generated
     pool, at the default widths, never hold a batch-sized hidden layer. The
     largest row block has under 1.5 blocks' rows, so its widest output stays
-    under 1.5 x numerics.BLOCK_BYTES = 3 MiB; the rest of the ceiling covers
+    under 1.5 x numerics.BLOCK_BYTES = 1.5 MiB; the rest of the ceiling covers
     the next layer's block output and the call's own full-length arrays
     (conditioned input, one-hot, output). A one-shot forward held a 16.4 MB
-    encoder layer and a 6.1 MB decoder layer here, and a last block holding
-    the whole remainder peaked at 5.5 MiB."""
+    layer of the earlier 1024-wide encoder and a 6.1 MB decoder layer here,
+    and the 256-wide encoder under 2 MiB blocks ran the 4,000 rows one-shot
+    and peaked at 6.5 MB."""
     ceiling = 5 << 20
     rng = derive_rng(14, 4)
     model = CvaeModel.create(rng, 16, 20)

@@ -243,6 +243,29 @@ def test_mlp_metadata_classifier_mismatch():
         formats.parse_model(buf)
 
 
+def test_mlp_unused_z_dim_rejected():
+    model = _small_mlp()
+    buf = formats.model_bytes(formats.KIND_MLP, model.layers, classes=3, act_dim=5,
+                              z_dim=2, prune_fraction=0.25, feature_boundary=2)
+    with pytest.raises(FormatError, match=r"m\.lpmd: unused field z_dim is 2"):
+        formats.parse_model(buf, "m.lpmd")
+
+
+@pytest.mark.parametrize("kind", [formats.KIND_CVAE_ENCODER, formats.KIND_CVAE_DECODER],
+                         ids=["encoder", "decoder"])
+@pytest.mark.parametrize("name, value", [("prune_fraction", 0.25),
+                                         ("prune_fraction", -0.0),
+                                         ("feature_boundary", 1)])
+def test_cvae_unused_fields_rejected(kind, name, value):
+    model = _small_cvae()
+    layers = model.encoder if kind == formats.KIND_CVAE_ENCODER else model.decoder
+    footer = dict(classes=3, act_dim=4, z_dim=2, prune_fraction=0.0, feature_boundary=0)
+    formats.parse_model(formats.model_bytes(kind, layers, **footer))
+    footer[name] = value
+    with pytest.raises(FormatError, match=rf"c\.lpmd: unused field {name} is "):
+        formats.parse_model(formats.model_bytes(kind, layers, **footer), "c.lpmd")
+
+
 def test_mlp_wrong_kind_through_wrapper(tmp_path):
     model = _small_cvae()
     formats.save_cvae(tmp_path / "e.lpmd", tmp_path / "d.lpmd", model)

@@ -13,7 +13,7 @@ from loco_pda.errors import (
     ShapeError,
     StateError,
 )
-from loco_pda.cvae import CvaeModel
+from loco_pda.cvae import DEFAULT_DEC_WIDTHS, DEFAULT_ENC_WIDTHS, CvaeModel
 from loco_pda.models import DEFAULT_FEATURE_WIDTHS, build_mlp
 from loco_pda.numerics import (
     BLOCK_BYTES,
@@ -444,23 +444,33 @@ def _one_shot_forward(layers, x):
     return x
 
 
-def _default_cvae_stacks():
-    """Encoder (36->1024->128->64->32) and decoder (36->512->16) of a default
-    CVAE over 16-wide activations and 20 classes, with nonzero biases."""
+# CVAE widths over 16-wide activations and 20 classes: the defaults (encoder
+# 36->256->128->64->32, decoder 36->512->16), and the wider encoder they
+# replaced (36->1024->128->64->32), so both shapes stay covered
+CVAE_WIDTHS = {"default": (DEFAULT_ENC_WIDTHS, DEFAULT_DEC_WIDTHS),
+               "wide": ((1024, 128, 64), (512,))}
+
+
+def _cvae_stacks(widths="default"):
+    """Encoder and decoder of a CVAE at CVAE_WIDTHS[widths], with nonzero biases."""
     rng = derive_rng(14, 1)
-    model = CvaeModel.create(rng, 16, 20)
+    enc_widths, dec_widths = CVAE_WIDTHS[widths]
+    model = CvaeModel.create(rng, 16, 20, enc_widths=enc_widths, dec_widths=dec_widths)
     for layer in model.encoder + model.decoder:
         layer.bias[:] = rng.standard_normal(layer.bias.shape).astype(np.float32)
     return {"encoder": model.encoder, "decoder": model.decoder}
 
 
-@pytest.mark.parametrize("stack, block", [("encoder", 512), ("decoder", 1024)])
-def test_blocked_inference_forward_is_bitwise_one_shot(stack, block):
+@pytest.mark.parametrize("widths, stack, block", [
+    ("default", "encoder", 1024), ("default", "decoder", 512),
+    ("wide", "encoder", 256), ("wide", "decoder", 512),
+])
+def test_blocked_inference_forward_is_bitwise_one_shot(widths, stack, block):
     """An inference forward of at least two blocks runs in near-equal row
     blocks, none shorter than a block; every row count here gives the bits
     of a one-shot forward. A BLAS build that rounds a product differently by
     its row count fails this test."""
-    layers = _default_cvae_stacks()[stack]
+    layers = _cvae_stacks(widths)[stack]
     widest = max(layer.out_dim for layer in layers)
     assert BLOCK_BYTES // (4 * widest) == block
     rng = derive_rng(14, 2)
@@ -470,7 +480,7 @@ def test_blocked_inference_forward_is_bitwise_one_shot(stack, block):
         got = stack_forward(layers, x, keep=False)
         want = _one_shot_forward(layers, x)
         assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), f"{stack}, {rows} rows"
+        assert got.tobytes() == want.tobytes(), f"{widths} {stack}, {rows} rows"
 
 
 def test_blocked_forward_counts_one_call_per_layer_and_block(monkeypatch):
@@ -482,11 +492,11 @@ def test_blocked_forward_counts_one_call_per_layer_and_block(monkeypatch):
         return forward(self, x, keep)
 
     monkeypatch.setattr(DenseLayer, "forward", counted)
-    encoder = _default_cvae_stacks()["encoder"]
+    encoder = _cvae_stacks()["encoder"]
     x = np.zeros((4000, 36), dtype=np.float32)
     stack_forward(encoder, x, keep=False)
-    # 4,000 rows over 4000 // 512 = 7 near-equal blocks of 571 or 572 rows
-    blocks = [571, 571, 572, 571, 572, 571, 572]
+    # 4,000 rows over 4000 // 1024 = 3 near-equal blocks
+    blocks = [1333, 1333, 1334]
     assert sum(blocks) == 4000
     assert calls == [rows for rows in blocks for _ in encoder]
     calls.clear()
