@@ -183,8 +183,7 @@ def _load_dataset(ctx: Context) -> models.LabeledDataset:
         raise FormatError("dataset files must carry labels")
     spec = ctx.cfg.dataset_spec(ctx.seed)
     return models.LabeledDataset(spec, train.features, train.labels,
-                                 val.features, val.labels,
-                                 models.class_means_for(spec))
+                                 val.features, val.labels)
 
 
 def _load_m0(ctx: Context) -> models.MlpModel:
@@ -314,9 +313,18 @@ def cmd_estimate_domain(ctx: Context, args) -> list[str]:
 
 
 def _load_domain(ctx: Context) -> ClassDistribution:
-    data = ctx.read(partial(_read_json, key="probs", valid=_is_number_list),
-                    "estimate-domain", DOMAIN)
-    return ClassDistribution(np.asarray(data["probs"], dtype=np.float64))
+    return ctx.read(partial(_read_domain, classes=ctx.cfg.classes), "estimate-domain", DOMAIN)
+
+
+def _read_domain(path: Path, classes: int) -> ClassDistribution:
+    """The distribution over the config's classes that path holds."""
+    probs = _read_json(path, "probs", _is_number_list)["probs"]
+    if len(probs) != classes:
+        raise FormatError(f"{path} holds {len(probs)} probabilities for {classes} classes")
+    try:
+        return ClassDistribution(np.asarray(probs, dtype=np.float64))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def cmd_adapt(ctx: Context, args) -> list[str]:

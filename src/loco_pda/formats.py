@@ -5,34 +5,35 @@ their total byte length is exactly computable from the header, so loads can
 distinguish truncation from structural corruption. Round trips are bit-exact:
 save(load(f)) reproduces f byte for byte.
 
-Activation file ("LPAC"):
+Activation file ("LPAC", version 1):
     magic | version u32 | rows u32 | cols u32 | has_labels u8 | 3 zero bytes
     | rows*cols f32 payload, row-major | rows u32 labels when flagged
 
-Model file ("LPMD"):
+Model file ("LPMD", version 2):
     magic | version u32 | kind u8 | layer_count u32
     | per layer: in u32, out u32, act u8, out*in f32 weights, out f32 bias
-    | metadata, all but prune_fraction computed from the layers on save and
-      checked against them on load: classes u32, act_dim u32, z_dim u32,
-      prune_fraction f32, feature_boundary u32; a field the kind does not use
-      (an MLP's z_dim, a CVAE file's prune_fraction and feature_boundary) is 0
+    | prune_fraction f32, in an MLP file only
+Every shape is stated once, by the layers; the model a file loads into checks
+them. A version-1 file, which ended in a footer repeating the shapes, is
+refused: re-running the stage that wrote it writes version 2.
 """
 
 from __future__ import annotations
 
-import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
 from .cvae import CvaeModel
-from .errors import FormatError, TruncationError, UnsupportedVersionError
+from .errors import FormatError, ShapeError, TruncationError, UnsupportedVersionError
 from .models import ActivationBatch, MlpModel
 from .numerics import Activation, DenseLayer
 
 ACTIVATION_MAGIC = b"LPAC"
 MODEL_MAGIC = b"LPMD"
-FORMAT_VERSION = 1
+ACTIVATION_VERSION = 1
+MODEL_VERSION = 2
 
 KIND_MLP = 0
 KIND_CVAE_ENCODER = 1
@@ -82,16 +83,17 @@ class _Cursor:
             )
 
 
-def _check_header(cur: _Cursor, magic: bytes) -> None:
+def _check_header(cur: _Cursor, magic: bytes, expected_version: int) -> None:
     got = cur.take(4)
     if got != magic:
         raise FormatError(
             f"{cur.path}: bad magic {got!r}, expected {magic.decode('ascii')!r}"
         )
     version = cur.u32()
-    if version != FORMAT_VERSION:
+    if version != expected_version:
         raise UnsupportedVersionError(
-            f"{cur.path}: format version {version}, this build reads {FORMAT_VERSION}"
+            f"{cur.path}: format version {version}, this build reads "
+            f"{expected_version}; re-run the stage that wrote this file"
         )
 
 
@@ -105,7 +107,7 @@ def activation_bytes(batch: ActivationBatch) -> bytes:
     has_labels = batch.labels is not None
     parts = [
         ACTIVATION_MAGIC,
-        struct.pack("<IIIB3x", FORMAT_VERSION, rows, cols, int(has_labels)),
+        struct.pack("<IIIB3x", ACTIVATION_VERSION, rows, cols, int(has_labels)),
         np.ascontiguousarray(batch.features, dtype="<f4").tobytes(),
     ]
     if has_labels:
@@ -117,13 +119,12 @@ def activation_bytes(batch: ActivationBatch) -> bytes:
 
 
 def save_activations(path, batch: ActivationBatch) -> None:
-    with open(path, "wb") as fh:
-        fh.write(activation_bytes(batch))
+    Path(path).write_bytes(activation_bytes(batch))
 
 
 def parse_activations(buf: bytes, path: str = "<bytes>") -> ActivationBatch:
     cur = _Cursor(buf, path)
-    _check_header(cur, ACTIVATION_MAGIC)
+    _check_header(cur, ACTIVATION_MAGIC, ACTIVATION_VERSION)
     rows, cols = cur.u32(), cur.u32()
     flag = cur.u8()
     if flag not in (0, 1):
@@ -137,8 +138,7 @@ def parse_activations(buf: bytes, path: str = "<bytes>") -> ActivationBatch:
 
 
 def load_activations(path) -> ActivationBatch:
-    with open(path, "rb") as fh:
-        return parse_activations(fh.read(), str(path))
+    return parse_activations(Path(path).read_bytes(), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +146,26 @@ def load_activations(path) -> ActivationBatch:
 # ---------------------------------------------------------------------------
 
 
-def model_bytes(kind: int, layers: list[DenseLayer], *, classes: int, act_dim: int,
-                z_dim: int, prune_fraction: float, feature_boundary: int) -> bytes:
+def model_bytes(kind: int, layers: list[DenseLayer], prune_fraction: float = 0.0) -> bytes:
     parts = [
         MODEL_MAGIC,
-        struct.pack("<IBI", FORMAT_VERSION, kind, len(layers)),
+        struct.pack("<IBI", MODEL_VERSION, kind, len(layers)),
     ]
     for layer in layers:
         parts.append(struct.pack("<IIB", layer.in_dim, layer.out_dim, int(layer.activation)))
         parts.append(np.ascontiguousarray(layer.weight, dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(layer.bias, dtype="<f4").tobytes())
-    parts.append(struct.pack("<IIIfI", classes, act_dim, z_dim, prune_fraction,
-                             feature_boundary))
+    if kind == KIND_MLP:
+        parts.append(struct.pack("<f", prune_fraction))
     return b"".join(parts)
 
 
 def parse_model(buf: bytes, path: str = "<bytes>"):
-    """Returns (kind, layers, meta dict). Every shape chain is validated here."""
+    """Returns (kind, layers, prune_fraction), the last 0.0 unless an MLP.
+    Each layer's input must chain from the previous layer's output; what the
+    shapes must be beyond that is checked by the model they build."""
     cur = _Cursor(buf, path)
-    _check_header(cur, MODEL_MAGIC)
+    _check_header(cur, MODEL_MAGIC, MODEL_VERSION)
     kind = cur.u8()
     if kind not in (KIND_MLP, KIND_CVAE_ENCODER, KIND_CVAE_DECODER):
         raise FormatError(f"{path}: unknown model kind {kind}")
@@ -185,101 +186,51 @@ def parse_model(buf: bytes, path: str = "<bytes>"):
                 f"{layers[-1].out_dim}"
             )
         layers.append(DenseLayer(weight, bias, Activation(act)))
-    meta = dict(zip(
-        ("classes", "act_dim", "z_dim", "prune_fraction", "feature_boundary"),
-        struct.unpack("<IIIfI", cur.take(20)),
-    ))
+    prune_fraction = cur.f32() if kind == KIND_MLP else 0.0
     cur.expect_end()
-    _validate_kind(kind, layers, meta, path)
-    return kind, layers, meta
-
-
-def _validate_kind(kind: int, layers: list[DenseLayer], meta: dict, path: str) -> None:
-    s, a_dim, z_dim = meta["classes"], meta["act_dim"], meta["z_dim"]
-    # saving writes 0 (not -0.0) to each field its kind does not use, so a file
-    # holding anything else there would not survive save(load(f)) byte for byte
-    unused = ("z_dim",) if kind == KIND_MLP else ("prune_fraction", "feature_boundary")
-    for name in unused:
-        if meta[name] != 0 or math.copysign(1, meta[name]) < 0:
-            raise FormatError(f"{path}: unused field {name} is {meta[name]}, not 0")
-    if kind == KIND_MLP:
-        if meta["feature_boundary"] != len(layers) - 1:
-            raise FormatError(f"{path}: feature boundary must index the final layer")
-        fc = layers[-1]
-        if fc.activation != Activation.IDENTITY or fc.out_dim != s or fc.in_dim != a_dim:
-            raise FormatError(
-                f"{path}: classifier layer [{fc.out_dim} x {fc.in_dim}] (act {int(fc.activation)}) "
-                f"inconsistent with metadata [{s} x {a_dim}]"
-            )
-        if not (0 <= meta["prune_fraction"] < 1):
-            raise FormatError(f"{path}: prune fraction {meta['prune_fraction']} outside [0, 1)")
-    elif kind == KIND_CVAE_ENCODER:
-        if layers[0].in_dim != a_dim + s:
-            raise FormatError(
-                f"{path}: encoder input {layers[0].in_dim} != act_dim {a_dim} + classes {s}"
-            )
-        if layers[-1].out_dim != 2 * z_dim:
-            raise FormatError(
-                f"{path}: encoder output {layers[-1].out_dim} != 2 * z_dim {z_dim}"
-            )
-    else:
-        if layers[0].in_dim != z_dim + s:
-            raise FormatError(
-                f"{path}: decoder input {layers[0].in_dim} != z_dim {z_dim} + classes {s}"
-            )
-        if layers[-1].out_dim != a_dim:
-            raise FormatError(
-                f"{path}: decoder output {layers[-1].out_dim} != act_dim {a_dim}"
-            )
+    if not 0 <= prune_fraction < 1:
+        raise FormatError(f"{path}: prune fraction {prune_fraction} outside [0, 1)")
+    return kind, layers, prune_fraction
 
 
 def load_model_file(path):
-    with open(path, "rb") as fh:
-        return parse_model(fh.read(), str(path))
+    return parse_model(Path(path).read_bytes(), str(path))
 
 
 # --- MLP convenience wrappers ---
 
 
 def save_mlp(path, model: MlpModel) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_bytes(
-            KIND_MLP, model.layers,
-            classes=model.num_classes, act_dim=model.activation_dim,
-            z_dim=0, prune_fraction=model.prune_fraction,
-            feature_boundary=len(model.layers) - 1,
-        ))
+    Path(path).write_bytes(model_bytes(KIND_MLP, model.layers, model.prune_fraction))
 
 
 def load_mlp(path) -> MlpModel:
-    kind, layers, meta = load_model_file(path)
+    kind, layers, prune_fraction = load_model_file(path)
     if kind != KIND_MLP:
         raise FormatError(f"{path}: expected an MLP model file, got kind {kind}")
-    return MlpModel(layers, meta["prune_fraction"])
+    try:
+        return MlpModel(layers, prune_fraction)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 # --- CVAE convenience wrappers (encoder and decoder are separate files) ---
 
 
-def save_cvae(enc_path, dec_path, model) -> None:
-    common = dict(classes=model.num_classes, act_dim=model.a_dim, z_dim=model.z_dim,
-                  prune_fraction=0.0, feature_boundary=0)
-    with open(enc_path, "wb") as fh:
-        fh.write(model_bytes(KIND_CVAE_ENCODER, model.encoder, **common))
-    with open(dec_path, "wb") as fh:
-        fh.write(model_bytes(KIND_CVAE_DECODER, model.decoder, **common))
+def save_cvae(enc_path, dec_path, model: CvaeModel) -> None:
+    Path(enc_path).write_bytes(model_bytes(KIND_CVAE_ENCODER, model.encoder))
+    Path(dec_path).write_bytes(model_bytes(KIND_CVAE_DECODER, model.decoder))
 
 
 def load_cvae(enc_path, dec_path) -> CvaeModel:
-    enc_kind, encoder, enc_meta = load_model_file(enc_path)
-    dec_kind, decoder, dec_meta = load_model_file(dec_path)
+    enc_kind, encoder, _ = load_model_file(enc_path)
+    dec_kind, decoder, _ = load_model_file(dec_path)
     if enc_kind != KIND_CVAE_ENCODER:
         raise FormatError(f"{enc_path}: expected an encoder file, got kind {enc_kind}")
     if dec_kind != KIND_CVAE_DECODER:
         raise FormatError(f"{dec_path}: expected a decoder file, got kind {dec_kind}")
-    keys = ("classes", "act_dim", "z_dim")
-    if tuple(enc_meta[k] for k in keys) != tuple(dec_meta[k] for k in keys):
-        raise FormatError(
-            f"{enc_path} / {dec_path}: encoder and decoder metadata disagree"
-        )
-    return CvaeModel(encoder, decoder)
+    try:
+        return CvaeModel(encoder, decoder)
+    except ShapeError as exc:
+        raise FormatError(f"{enc_path} / {dec_path}: encoder and decoder do not "
+                          f"fit together: {exc}") from exc

@@ -79,7 +79,6 @@ class LabeledDataset:
     train_y: np.ndarray
     val_x: np.ndarray
     val_y: np.ndarray
-    class_means: np.ndarray
 
 
 def class_means_for(spec: DatasetSpec) -> np.ndarray:
@@ -107,7 +106,7 @@ def synth_dataset(spec: DatasetSpec) -> LabeledDataset:
     val_x = np.concatenate(val_parts)
     train_y = np.repeat(np.arange(spec.num_classes), spec.train_per_class)
     val_y = np.repeat(np.arange(spec.num_classes), spec.val_per_class)
-    return LabeledDataset(spec, train_x, train_y, val_x, val_y, means)
+    return LabeledDataset(spec, train_x, train_y, val_x, val_y)
 
 
 # ---------------------------------------------------------------------------

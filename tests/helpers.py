@@ -1,11 +1,14 @@
 """Helpers that only the tests use: a seeded RNG, a checked softmax
 cross-entropy, a finite-difference gradient checker, Spearman rank
-correlation and a one-class distribution."""
+correlation, a one-class distribution and a version-1 model file."""
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
+from loco_pda import formats
 from loco_pda.adaptation import ClassDistribution
 from loco_pda.errors import LabelError, ShapeError
 from loco_pda.numerics import softmax_xent
@@ -94,3 +97,13 @@ def point_mass(cls_index: int, num_classes: int) -> ClassDistribution:
     probs = np.zeros(num_classes)
     probs[cls_index] = 1.0
     return ClassDistribution(probs)
+
+
+def mlp_v1_bytes(model) -> bytes:
+    """The version-1 file an earlier release wrote for an MLP: the layers, then
+    a footer repeating their shapes (classes, activation dim, a zero latent dim,
+    the prune fraction, the classifier's index)."""
+    v2 = formats.model_bytes(formats.KIND_MLP, model.layers, model.prune_fraction)
+    footer = struct.pack("<IIIfI", model.num_classes, model.activation_dim, 0,
+                         model.prune_fraction, len(model.layers) - 1)
+    return v2[:4] + struct.pack("<I", 1) + v2[8:-4] + footer

@@ -433,14 +433,23 @@ def test_criterion_12_serialization_round_trip_and_fuzz(tmp_path, rng):
     assert enc_a.read_bytes() == enc_b.read_bytes()
     assert dec_a.read_bytes() == dec_b.read_bytes()
 
-    corpus = [(act_path.read_bytes(), formats.load_activations),
-              (mlp_path.read_bytes(), formats.load_mlp)]
     fuzz_rng = make_rng(2026)
     target = tmp_path / "fuzz.bin"
+    _fuzz([(act_path.read_bytes(), formats.load_activations),
+           (mlp_path.read_bytes(), formats.load_mlp)], fuzz_rng, target)
+    # the encoder and the decoder each fuzzed beside an intact partner, since
+    # CvaeModel checks that the two fit together
+    _fuzz([(enc_a.read_bytes(), lambda p: formats.load_cvae(p, dec_a)),
+           (dec_a.read_bytes(), lambda p: formats.load_cvae(enc_a, p))], fuzz_rng, target)
+
+
+def _fuzz(corpus, fuzz_rng, target, cases=1000):
+    """Half the cases truncate a file and half flip one bit in it, cycling
+    through corpus, a list of (file bytes, loader of a path)."""
     flips_survived = flips_rejected = 0
-    for case in range(1000):
-        data, loader = corpus[case % 2]
-        if case < 500:
+    for case in range(cases):
+        data, loader = corpus[case % len(corpus)]
+        if case < cases // 2:
             cut = int(fuzz_rng.integers(0, len(data)))
             target.write_bytes(data[:cut])
             with pytest.raises(LocoError):
@@ -457,6 +466,6 @@ def test_criterion_12_serialization_round_trip_and_fuzz(tmp_path, rng):
             else:
                 flips_survived += 1
     # every outcome was either a clean parse or a typed refusal
-    assert flips_survived + flips_rejected == 500
+    assert flips_survived + flips_rejected == cases - cases // 2
     print(f"bit flips: {flips_rejected} rejected with typed errors, "
           f"{flips_survived} parsed")

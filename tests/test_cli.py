@@ -15,6 +15,8 @@ from loco_pda import cli, formats
 from loco_pda.config import PipelineConfig, load_config
 from loco_pda.models import ActivationBatch
 
+from helpers import mlp_v1_bytes
+
 TINY_CONFIG = """\
 [dataset]
 classes = 4
@@ -153,6 +155,20 @@ def test_format_error_exit_code(tiny):
     assert run(cfg, out, "prune") == cli.EXIT_FORMAT
 
 
+def test_version_1_model_file_exit_code(tiny, capsys):
+    """A model file an earlier release wrote is refused as malformed, with a
+    message that names it and says to write it again."""
+    cfg, out = tiny
+    assert run(cfg, out, "synth-data") == 0
+    assert run(cfg, out, "train-source") == 0
+    m0 = out / cli.MODEL_M0
+    m0.write_bytes(mlp_v1_bytes(formats.load_mlp(m0)))
+    assert run(cfg, out, "prune") == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert f"{m0}: format version 1, this build reads 2; re-run" in err
+    assert not (out / cli.MODEL_MP).exists()
+
+
 @pytest.mark.parametrize("rewrite", [
     lambda text: "[]",
     lambda text: '{"artifacts": 5}',
@@ -170,11 +186,15 @@ def test_malformed_manifest_exit_code(tiny, capsys, rewrite):
     assert "manifest_train-source.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"support": [0, 1]}', "[1, 2]"],
-                         ids=["no-probs", "list"])
+@pytest.mark.parametrize("text", [
+    '{"support": [0, 1]}', "[1, 2]",
+    '{"probs": [0.25, 0.25, 0.5]}', '{"probs": [0.2, 0.2, 0.2, 0.2, 0.2]}',
+    '{"probs": [0.5, 0.5, 0.5, 0.0]}', '{"probs": [1.25, -0.25, 0.0, 0.0]}',
+], ids=["no-probs", "list", "3-classes", "5-classes", "sum-1.5", "negative"])
 def test_malformed_domain_exit_code(tiny, capsys, text):
-    """A domain.json without a list of probabilities is malformed, even when
-    its manifest records its bytes."""
+    """A domain.json without a list of probabilities, or whose probabilities
+    are not a distribution over the config's 4 classes, is malformed, even
+    when its manifest records its bytes."""
     cfg, out = tiny
     for argv in [("synth-data",), ("train-source",), ("prune",), ("dump-activations",),
                  ("train-cvae",), ("estimate-domain",)]:
@@ -357,6 +377,37 @@ def test_run_all_tiny_produces_matrix(tiny):
     for cell in matrix["cells"]:
         assert cell["error"] is None
     assert (out / "manifest_run-all.json").exists()
+
+
+def test_run_all_files_resave_to_the_same_bytes(tiny, tmp_path):
+    """Every .lpac and .lpmd a run-all writes loads, through the loader its
+    readers use, into an object that saves to the same bytes."""
+    cfg, out = tiny
+    assert run(cfg, out, "run-all") == 0
+    again = tmp_path / "again"
+    checked = set()
+    for path in sorted(out.glob("*.lpac")):
+        formats.save_activations(again, formats.load_activations(path))
+        assert again.read_bytes() == path.read_bytes(), path.name
+        checked.add(path.name)
+    for path in sorted(out.glob("*.lpmd")):
+        kind = formats.load_model_file(path)[0]
+        if kind == formats.KIND_MLP:
+            formats.save_mlp(again, formats.load_mlp(path))
+            assert again.read_bytes() == path.read_bytes(), path.name
+            checked.add(path.name)
+        elif kind == formats.KIND_CVAE_ENCODER:
+            dec = path.with_name(path.name.replace("enc", "dec"))
+            formats.save_cvae(again, tmp_path / "again_dec", formats.load_cvae(path, dec))
+            assert again.read_bytes() == path.read_bytes(), path.name
+            assert (tmp_path / "again_dec").read_bytes() == dec.read_bytes(), dec.name
+            checked |= {path.name, dec.name}
+    written = {p.name for p in out.iterdir() if p.suffix in (".lpac", ".lpmd")}
+    assert checked == written
+    # the models and activations of every stage, one generator pair per class
+    # for the unconditional pack
+    assert {cli.MODEL_M0, cli.MODEL_MP, cli.ADAPTED, cli.BASELINE_MODEL, cli.CVAE_ENC,
+            cli.CVAE_DEC, cli.DATA_TRAIN, cli.ACTS_TRAIN, cli.uncond_dec_name(0)} <= written
 
 
 def test_run_all_writes_what_the_stage_commands_write(tiny, tmp_path):

@@ -22,7 +22,7 @@ from loco_pda.models import ActivationBatch, DatasetSpec, synth_dataset, build_m
 from loco_pda.numerics import Activation, DenseLayer
 from loco_pda.cvae import CvaeModel
 
-from helpers import make_rng
+from helpers import make_rng, mlp_v1_bytes
 
 # header: magic(4) version(4) rows(4) cols(4) flag(1) pad(3)
 ACT_HEADER_LEN = 20
@@ -166,21 +166,21 @@ def test_cvae_round_trip_preserves_generation(tmp_path):
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
-# sha256 of each model file written by an earlier release, whose footer was
-# kept as stored metadata rather than read from the layers
+# sha256 of each version-2 model file. Each is the version-1 file that an
+# earlier release wrote for the same model, with the version set to 2 and the
+# 20-byte footer replaced by the MLP's prune fraction, or by nothing.
 PINNED_DIGESTS = {
-    "mlp": "76306c45b814f7087f376b7fc8613be2f011675283b90699d536087fa8762949",
-    "cvae-encoder": "7eb5c59856238656a890acaa1d7766fe85a8a501ce15d6a34c33e76a63bfe920",
-    "cvae-decoder": "abbdab0fbef21fca4ae7e1bb21f45618c77dcd6d15bb3ec7cde521499fbcc1d8",
-    "uncond-encoder": "96a21ba3a670b1781190f40ae07c6214419c18e614c4dbdb8177e5d7e2322cb3",
-    "uncond-decoder": "012bf7bd890e15bc53d4aed35a528bee0bb9d202d4f8847625ebdb2667454019",
+    "mlp": "93e04caddab630983d36eb22f165a89bc07f03a0b5d8b5951fc3f4d8d3638a6b",
+    "cvae-encoder": "55bd7e18c995a567e5d01f16811058c795f263dd6afd6db5c8539ad2d436adcb",
+    "cvae-decoder": "8e9c4233df68908da58e20b45d84dfde35e98f20b134bb69e3fcb2e3091e5a73",
+    "uncond-encoder": "ad0dd2a7dfe8d7c92f146a05eab2d3afb17ebac52fff2239bc1afb13589d768b",
+    "uncond-decoder": "022265c77b7d89fb941ac91c0c8fe41aafa8a1639b1bb4e60e50d8c0b9b6b863",
 }
 
 
 def test_model_files_match_pinned_bytes(tmp_path):
-    """The footer computed from the layers is the footer, byte for byte, that
-    the same models were saved with before; a round trip alone would not show
-    a footer changed on both sides."""
+    """The layers are written byte for byte as before; a round trip alone
+    would not show a layout changed on both sides."""
     formats.save_mlp(tmp_path / "mlp", _small_mlp())
     formats.save_cvae(tmp_path / "cvae-encoder", tmp_path / "cvae-decoder", _small_cvae())
     uncond = CvaeModel.create(make_rng(7), a_dim=4, num_classes=0, z_dim=2,
@@ -191,36 +191,44 @@ def test_model_files_match_pinned_bytes(tmp_path):
     assert got == PINNED_DIGESTS
 
 
+def test_version_1_model_file_refused(tmp_path):
+    p = tmp_path / "m.lpmd"
+    p.write_bytes(mlp_v1_bytes(_small_mlp()))
+    with pytest.raises(UnsupportedVersionError,
+                       match=r"m\.lpmd: format version 1, this build reads 2; re-run"):
+        formats.load_mlp(p)
+
+
 def test_cvae_swapped_files_rejected(tmp_path):
     model = _small_cvae()
     enc, dec = tmp_path / "e.lpmd", tmp_path / "d.lpmd"
     formats.save_cvae(enc, dec, model)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"d\.lpmd: expected an encoder file"):
         formats.load_cvae(dec, enc)
 
 
 def test_cvae_metadata_disagreement_rejected(tmp_path):
+    """An encoder and a decoder of different latent widths each load alone;
+    as a pair they are refused, naming both files."""
     a, b = _small_cvae(), CvaeModel.create(make_rng(6), a_dim=4, num_classes=3,
                                            z_dim=3, enc_widths=(8,), dec_widths=(6,))
     formats.save_cvae(tmp_path / "ea.lpmd", tmp_path / "da.lpmd", a)
     formats.save_cvae(tmp_path / "eb.lpmd", tmp_path / "db.lpmd", b)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"ea\.lpmd / .*db\.lpmd: encoder and decoder"):
         formats.load_cvae(tmp_path / "ea.lpmd", tmp_path / "db.lpmd")
 
 
 def test_model_unknown_kind():
-    buf = bytearray(formats.model_bytes(
-        formats.KIND_MLP, _small_mlp().layers, classes=3, act_dim=5, z_dim=0,
-        prune_fraction=0.25, feature_boundary=2))
+    buf = bytearray(formats.model_bytes(formats.KIND_MLP, _small_mlp().layers, 0.25))
     buf[8] = 7
     with pytest.raises(FormatError):
         formats.parse_model(bytes(buf))
 
 
 def test_model_zero_layers():
-    buf = formats.MODEL_MAGIC + struct.pack("<IBI", formats.FORMAT_VERSION,
+    buf = formats.MODEL_MAGIC + struct.pack("<IBI", formats.MODEL_VERSION,
                                             formats.KIND_MLP, 0)
-    buf += struct.pack("<IIIfI", 3, 5, 0, 0.0, 0)
+    buf += struct.pack("<f", 0.0)
     with pytest.raises(FormatError):
         formats.parse_model(buf)
 
@@ -228,27 +236,38 @@ def test_model_zero_layers():
 def test_model_broken_layer_chain():
     l0 = DenseLayer.create(make_rng(0), 3, 4, Activation.RELU)
     l1 = DenseLayer.create(make_rng(1), 5, 2, Activation.IDENTITY)  # 4 != 5
-    buf = formats.model_bytes(formats.KIND_MLP, [l0, l1], classes=2, act_dim=5,
-                              z_dim=0, prune_fraction=0.0, feature_boundary=1)
+    buf = formats.model_bytes(formats.KIND_MLP, [l0, l1])
     with pytest.raises(FormatError):
         formats.parse_model(buf)
 
 
-def test_mlp_metadata_classifier_mismatch():
-    model = _small_mlp()
-    buf = formats.model_bytes(formats.KIND_MLP, model.layers, classes=4,  # fc is 3-wide
-                              act_dim=5, z_dim=0, prune_fraction=0.0,
-                              feature_boundary=2)
-    with pytest.raises(FormatError):
-        formats.parse_model(buf)
+def test_mlp_metadata_classifier_mismatch(tmp_path):
+    """A file whose last layer is not an identity classifier parses, but is
+    not an MLP: loading it as one is refused, naming the file."""
+    layers = _small_mlp().layers
+    layers[-1] = DenseLayer(layers[-1].weight, layers[-1].bias, Activation.RELU)
+    p = tmp_path / "m.lpmd"
+    p.write_bytes(formats.model_bytes(formats.KIND_MLP, layers, 0.25))
+    formats.load_model_file(p)
+    with pytest.raises(FormatError, match=r"m\.lpmd: classifier layer must have identity"):
+        formats.load_mlp(p)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5, 1.0])
+def test_mlp_prune_fraction_outside_range_rejected(value):
+    buf = formats.model_bytes(formats.KIND_MLP, _small_mlp().layers, value)
+    with pytest.raises(FormatError, match=r"m\.lpmd: prune fraction .* outside"):
+        formats.parse_model(buf, "m.lpmd")
 
 
 def test_mlp_unused_z_dim_rejected():
-    model = _small_mlp()
-    buf = formats.model_bytes(formats.KIND_MLP, model.layers, classes=3, act_dim=5,
-                              z_dim=2, prune_fraction=0.25, feature_boundary=2)
-    with pytest.raises(FormatError, match=r"m\.lpmd: unused field z_dim is 2"):
-        formats.parse_model(buf, "m.lpmd")
+    """A version-1 footer field left after an MLP file's prune fraction is
+    trailing bytes: no field a kind does not use can ride in a file that
+    loads, so save(load(f)) = f holds."""
+    buf = formats.model_bytes(formats.KIND_MLP, _small_mlp().layers, 0.25)
+    formats.parse_model(buf)
+    with pytest.raises(FormatError, match=r"m\.lpmd: 4 trailing bytes"):
+        formats.parse_model(buf + struct.pack("<I", 2), "m.lpmd")
 
 
 @pytest.mark.parametrize("kind", [formats.KIND_CVAE_ENCODER, formats.KIND_CVAE_DECODER],
@@ -257,13 +276,15 @@ def test_mlp_unused_z_dim_rejected():
                                          ("prune_fraction", -0.0),
                                          ("feature_boundary", 1)])
 def test_cvae_unused_fields_rejected(kind, name, value):
+    """An encoder or decoder file carries no prune fraction or classifier
+    index; one that does is refused as trailing bytes."""
     model = _small_cvae()
     layers = model.encoder if kind == formats.KIND_CVAE_ENCODER else model.decoder
-    footer = dict(classes=3, act_dim=4, z_dim=2, prune_fraction=0.0, feature_boundary=0)
-    formats.parse_model(formats.model_bytes(kind, layers, **footer))
-    footer[name] = value
-    with pytest.raises(FormatError, match=rf"c\.lpmd: unused field {name} is "):
-        formats.parse_model(formats.model_bytes(kind, layers, **footer), "c.lpmd")
+    buf = formats.model_bytes(kind, layers)
+    formats.parse_model(buf)
+    field = struct.pack("<f" if name == "prune_fraction" else "<I", value)
+    with pytest.raises(FormatError, match=r"c\.lpmd: 4 trailing bytes"):
+        formats.parse_model(buf + field, "c.lpmd")
 
 
 def test_mlp_wrong_kind_through_wrapper(tmp_path):
@@ -275,10 +296,7 @@ def test_mlp_wrong_kind_through_wrapper(tmp_path):
 
 @pytest.mark.parametrize("cut", [3, 9, 30, -10])
 def test_model_truncation(cut):
-    model = _small_mlp()
-    buf = formats.model_bytes(formats.KIND_MLP, model.layers, classes=3,
-                              act_dim=5, z_dim=0, prune_fraction=0.25,
-                              feature_boundary=2)
+    buf = formats.model_bytes(formats.KIND_MLP, _small_mlp().layers, 0.25)
     with pytest.raises(TruncationError):
         formats.parse_model(buf[:cut])
 

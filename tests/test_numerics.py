@@ -4,9 +4,13 @@ gradients."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import loco_pda
 from loco_pda.errors import (
     LabelError,
     NumericError,
@@ -28,6 +32,7 @@ from loco_pda.numerics import (
     one_hot,
     stack_backward,
     stack_forward,
+    stage_key,
 )
 
 from helpers import gradcheck, make_rng, softmax_xent_loss
@@ -513,3 +518,16 @@ def test_derive_rng_streams_are_stable_and_distinct():
     c = derive_rng(0, 2).standard_normal(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_stage_keys_of_the_source_are_distinct():
+    """stage_key reads only a tag's first 8 bytes, so two tags that share
+    them share a stream: stage_key("baseline-rows") == stage_key("baseline-xyz").
+    Every tag the package uses must map to its own key."""
+    src = Path(loco_pda.__file__).parent
+    tags = set()
+    for path in sorted(src.glob("*.py")):
+        tags |= set(re.findall(r'stage_key\("([^"]*)"\)', path.read_text(encoding="utf-8")))
+    assert len(tags) >= 13
+    keys = {stage_key(tag): tag for tag in tags}
+    assert len(keys) == len(tags), sorted(tags - set(keys.values()))
