@@ -177,10 +177,11 @@ def _write_manifest(ctx: Context, command: str, artifacts: list[str]) -> None:
 
 
 def _load_dataset(ctx: Context) -> models.LabeledDataset:
-    train = ctx.read(formats.load_activations, "synth-data", DATA_TRAIN)
-    val = ctx.read(formats.load_activations, "synth-data", DATA_VAL)
-    if train.labels is None or val.labels is None:
-        raise FormatError("dataset files must carry labels")
+    train, val = (ctx.read(formats.load_activations, "synth-data", name)
+                  for name in (DATA_TRAIN, DATA_VAL))
+    for name, split in ((DATA_TRAIN, train), (DATA_VAL, val)):
+        if split.labels is None:
+            raise FormatError(f"{ctx.path(name)}: dataset files must carry labels")
     spec = ctx.cfg.dataset_spec(ctx.seed)
     return models.LabeledDataset(spec, train.features, train.labels,
                                  val.features, val.labels)

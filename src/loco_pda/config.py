@@ -13,7 +13,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .adaptation import AdaptationConfig, DEFAULT_ADAPT_HYPER, DEFAULT_BASELINE_HYPER
+from .adaptation import DEFAULT_ADAPT_HYPER, DEFAULT_BASELINE_HYPER, DEFAULT_R, AdaptationConfig
 from .cvae import (
     DEFAULT_DEC_WIDTHS,
     DEFAULT_ENC_WIDTHS,
@@ -85,19 +85,19 @@ class PipelineConfig:
     uncond_z_dim: int = _key("uncond", UNCOND_Z_DIM)
     uncond_enc_widths: tuple = _key("uncond", UNCOND_ENC_WIDTHS)
     uncond_dec_widths: tuple = _key("uncond", UNCOND_DEC_WIDTHS)
-    adapt_r: int = _key("adapt", 3000)
-    adapt_epochs: int = _key("adapt", 50)
-    adapt_batch: int = _key("adapt", 32)
-    adapt_lr: float = _key("adapt", 1e-6)
-    adapt_lr_step_epochs: int = _key("adapt", 15)
-    adapt_lr_gamma: float = _key("adapt", 0.1)
-    adapt_momentum: float = _key("adapt", 0.9)
-    baseline_epochs: int = _key("baseline", 10)
-    baseline_batch: int = _key("baseline", 32)
-    baseline_lr: float = _key("baseline", 1e-3)
-    baseline_lr_step_epochs: int = _key("baseline", 3)
-    baseline_lr_gamma: float = _key("baseline", 0.1)
-    baseline_momentum: float = _key("baseline", 0.9)
+    adapt_r: int = _key("adapt", DEFAULT_R)
+    adapt_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.epochs)
+    adapt_batch: int = _key("adapt", DEFAULT_ADAPT_HYPER.batch_size)
+    adapt_lr: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr)
+    adapt_lr_step_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.lr_step_epochs)
+    adapt_lr_gamma: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr_gamma)
+    adapt_momentum: float = _key("adapt", DEFAULT_ADAPT_HYPER.momentum)
+    baseline_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.epochs)
+    baseline_batch: int = _key("baseline", DEFAULT_BASELINE_HYPER.batch_size)
+    baseline_lr: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr)
+    baseline_lr_step_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.lr_step_epochs)
+    baseline_lr_gamma: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr_gamma)
+    baseline_momentum: float = _key("baseline", DEFAULT_BASELINE_HYPER.momentum)
     target_classes: tuple = _key("scenario", (0, 1, 2, 3, 4))
     # additional D' class subsets for the matrix
     extra_subsets: tuple = _key("scenario", (), _subset_list)

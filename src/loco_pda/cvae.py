@@ -27,10 +27,8 @@ from .numerics import (
     derive_rng,
     mse_loss,
     one_hot,
-    set_stack_params,
     stack_backward,
     stack_forward,
-    stack_pairs,
     stack_params,
     stage_key,
 )
@@ -66,6 +64,8 @@ class BetaSchedule:
     def __post_init__(self):
         if self.every_epochs <= 0:
             raise ValueError("every_epochs must be >= 1")
+        if not np.isfinite([self.start, self.step, self.max_value]).all():
+            raise ValueError("start, step and max_value must be finite")
         if self.max_value < self.start:
             raise ValueError("max_value below start")
 
@@ -143,34 +143,40 @@ class CvaeModel:
         params.update(stack_params(self.decoder, prefix="dec"))
         return params
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        set_stack_params(self.encoder, params, prefix="enc")
-        set_stack_params(self.decoder, params, prefix="dec")
-
-    def _condition(self, rows: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    def onehot(self, labels: np.ndarray | None) -> np.ndarray | None:
+        """The conditioning input for labels: None for an unconditional model,
+        which ignores labels; a conditional model refuses None."""
         if self.num_classes == 0:
-            return rows
-        return np.concatenate([rows, onehot], axis=1)
+            return None
+        if labels is None:
+            raise LabelError("a conditional model needs labels")
+        return one_hot(labels, self.num_classes)
 
-    def encode(self, acts: np.ndarray, onehot: np.ndarray, keep: bool = False):
+    def _condition(self, rows: np.ndarray, onehot: np.ndarray | None) -> np.ndarray:
+        return rows if onehot is None else np.concatenate([rows, onehot], axis=1)
+
+    def encode(self, acts: np.ndarray, onehot: np.ndarray | None, keep: bool = False):
         enc_out = stack_forward(self.encoder, self._condition(acts, onehot), keep)
         return enc_out[:, : self.z_dim], enc_out[:, self.z_dim:]
 
-    def decode(self, z: np.ndarray, onehot: np.ndarray, keep: bool = False) -> np.ndarray:
+    def decode(self, z: np.ndarray, onehot: np.ndarray | None,
+               keep: bool = False) -> np.ndarray:
         return stack_forward(self.decoder, self._condition(z, onehot), keep)
 
-    def loss_and_grads(self, acts: np.ndarray, onehot: np.ndarray,
+    def loss_and_grads(self, acts: np.ndarray, onehot: np.ndarray | None,
                        noise: np.ndarray, beta: float, grads=None):
         """One full forward/backward pass.
 
-        Returns (loss, grads, recon_loss, kl), with the gradients written into
-        grads (keyed like named_params, e.g. FlatParams.grad_views) or into new
-        arrays. The latent path carries both the reconstruction gradient
-        (through z = mu + sigma * noise, so the log-variance picks up
-        0.5 * sigma * noise) and beta times the KL gradient.
+        Returns (loss, grads, recon_loss, kl): grads holds one (grad_w, grad_b)
+        pair per layer, encoder layers first, written into the given pairs
+        (e.g. FlatParams.grads) or into new arrays. The latent path carries
+        both the reconstruction gradient (through z = mu + sigma * noise, so
+        the log-variance picks up 0.5 * sigma * noise) and beta times the KL
+        gradient.
         """
+        n = len(self.encoder)
         if grads is None:
-            grads = {name: np.empty_like(p) for name, p in self.named_params().items()}
+            grads = [None] * (n + len(self.decoder))
         mu, logvar = self.encode(acts, onehot, keep=True)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * noise
@@ -178,15 +184,14 @@ class CvaeModel:
         recon_loss, grad_recon = mse_loss(recon, acts)
         kl, gmu_kl, glv_kl = kl_diag_gauss(mu, logvar)
         loss = recon_loss + beta * kl
-        grad_dec_in, _ = stack_backward(self.decoder, grad_recon,
-                                        out=stack_pairs(grads, len(self.decoder), "dec"))
+        grad_dec_in, dec_grads = stack_backward(self.decoder, grad_recon, out=grads[n:])
         grad_z = grad_dec_in[:, : self.z_dim]
         grad_mu = grad_z + beta * gmu_kl
         grad_logvar = grad_z * (0.5 * sigma * noise) + beta * glv_kl
         grad_enc_out = np.concatenate([grad_mu, grad_logvar], axis=1)
-        stack_backward(self.encoder, grad_enc_out, need_input_grad=False,
-                       out=stack_pairs(grads, len(self.encoder), "enc"))
-        return loss, grads, recon_loss, kl
+        _, enc_grads = stack_backward(self.encoder, grad_enc_out, need_input_grad=False,
+                                      out=grads[:n])
+        return loss, enc_grads + dec_grads, recon_loss, kl
 
 
 @dataclass
@@ -217,14 +222,8 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
     e.g. the per-class pack members.
     """
     n = feats.shape[0]
-    if model.num_classes > 0:
-        if labels is None:
-            raise LabelError("conditional training requires labels")
-        onehot_all = one_hot(labels, model.num_classes)
-    else:
-        onehot_all = np.zeros((n, 0), dtype=F32)
-    flat = FlatParams(model.named_params())
-    model.set_params(flat.views)
+    onehot = model.onehot(labels)
+    flat = FlatParams(model.encoder + model.decoder)
     optimizer = Adam(LrSchedule(hyper.lr, hyper.lr_step_epochs, hyper.lr_gamma))
     shuffle_rng = derive_rng(seed, *stream, stage_key("vae-shuffle"))
     noise_rng = derive_rng(seed, *stream, stage_key("vae-noise"))
@@ -237,9 +236,9 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
         loss_sum = recon_sum = kl_sum = 0.0
         for start in range(0, n, hyper.batch_size):
             idx = perm[start: start + hyper.batch_size]
-            bx, bo = feats[idx], onehot_all[idx]
+            bx, bo = feats[idx], None if onehot is None else onehot[idx]
             noise = noise_rng.standard_normal((len(idx), model.z_dim)).astype(F32)
-            loss, _, recon, kl = model.loss_and_grads(bx, bo, noise, beta, flat.grad_views)
+            loss, _, recon, kl = model.loss_and_grads(bx, bo, noise, beta, flat.grads)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}; last finite snapshot is "
@@ -268,13 +267,7 @@ def align_latent(model: CvaeModel, feats: np.ndarray,
     trained on. Without this, leftover drift in the aggregated posterior shows
     up as a bias on everything generated.
     """
-    if model.num_classes > 0:
-        if labels is None:
-            raise LabelError("aligning a conditional model needs labels")
-        onehot = one_hot(labels, model.num_classes)
-    else:
-        onehot = np.zeros((feats.shape[0], 0), dtype=F32)
-    mu, logvar = model.encode(feats, onehot)
+    mu, logvar = model.encode(feats, model.onehot(labels))
     m = mu.mean(axis=0)
     total_var = mu.var(axis=0) + np.exp(logvar).mean(axis=0)
     s = np.sqrt(np.maximum(total_var, 1e-6))
@@ -380,7 +373,7 @@ def generate_activations(generator: CvaeModel | UncondVaePack, counts: np.ndarra
     if isinstance(generator, CvaeModel):
         rng = derive_rng(seed, stage_key("generate"))
         z = rng.standard_normal((labels.shape[0], generator.z_dim)).astype(F32)
-        feats = generator.decode(z, one_hot(labels, generator.num_classes))
+        feats = generator.decode(z, generator.onehot(labels))
         return ActivationBatch(feats, labels=labels)
     parts = [np.zeros((0, generator.a_dim), dtype=F32)]
     for c, model in enumerate(generator.vaes):

@@ -24,8 +24,8 @@ class NumericError(LocoError):
 class DivergenceError(NumericError):
     """Training produced a non-finite loss.
 
-    Carries the last parameter snapshot that was still finite so callers can
-    recover it.
+    Carries the last parameter snapshot that was still finite, one (weight,
+    bias) pair per layer, so callers can recover it.
     """
 
     def __init__(self, message, checkpoint=None, epoch=None):

@@ -23,11 +23,9 @@ from .numerics import (
     SgdMomentum,
     check_finite,
     derive_rng,
-    set_stack_params,
     softmax_xent,
     stack_backward,
     stack_forward,
-    stack_pairs,
     stack_params,
     stage_key,
 )
@@ -155,9 +153,6 @@ class MlpModel:
     def named_params(self) -> dict[str, np.ndarray]:
         return stack_params(self.layers)
 
-    def set_params(self, params: dict[str, np.ndarray]) -> None:
-        set_stack_params(self.layers, params)
-
 
 def extract_activations(model: MlpModel, inputs: np.ndarray,
                         labels: np.ndarray | None = None) -> ActivationBatch:
@@ -234,9 +229,7 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     if y.min() < 0 or y.max() >= layers[-1].out_dim:
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
-    flat = FlatParams(stack_params(layers))
-    set_stack_params(layers, flat.views)
-    grads = stack_pairs(flat.grad_views, len(layers))
+    flat = FlatParams(layers)
     rngs = [derive_rng(s, stage_key("shuffle")) for s in seeds]
     # the flat row index of each run's first row, so that one take per epoch
     # gathers every run's rows in its shuffled order
@@ -259,7 +252,7 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
             if not math.isfinite(sum(batch_loss[i].tolist())):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {i}")
             if optimizer is not None:
-                stack_backward(layers, grad, need_input_grad=False, out=grads)
+                stack_backward(layers, grad, need_input_grad=False, out=flat.grads)
                 flat.step(optimizer, epoch)
         hits = np.count_nonzero(pred == ys, axis=-1).reshape(-1).tolist()
         # per run, the float sum of loss * batch rows, added in batch order

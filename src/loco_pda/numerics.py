@@ -215,18 +215,6 @@ def stack_params(layers: list[DenseLayer], prefix: str = "layer") -> dict[str, n
     return out
 
 
-def stack_pairs(named: dict[str, np.ndarray], count: int,
-                prefix: str = "layer") -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (w, b) pairs of count layers, from a dict keyed like stack_params."""
-    return [(named[f"{prefix}{i}.w"], named[f"{prefix}{i}.b"]) for i in range(count)]
-
-
-def set_stack_params(layers: list[DenseLayer], params: dict[str, np.ndarray],
-                     prefix: str = "layer") -> None:
-    for layer, (w, b) in zip(layers, stack_pairs(params, len(layers), prefix)):
-        layer.weight, layer.bias = w, b
-
-
 # ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
@@ -281,8 +269,8 @@ class LrSchedule:
     """
 
     def __init__(self, base_lr: float, step_epochs: int = 0, gamma: float = 1.0):
-        if base_lr <= 0:
-            raise ValueError("learning rate must be strictly positive")
+        if not 0 < base_lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {base_lr}")
         self.base_lr = float(base_lr)
         self.step_epochs = int(step_epochs)
         self.gamma = float(gamma)
@@ -294,66 +282,63 @@ class LrSchedule:
 
 
 class FlatParams:
-    """Named parameters copied into one vector, value, that views slices by
-    name (rebind the model to them), plus a gradient buffer of the same
-    layout, so that an optimizer steps every parameter in one pass."""
+    """The weights and biases of a layer list copied into one vector, value,
+    with each layer rebound to its views of it, plus a gradient buffer of the
+    same layout whose per-layer (grad_w, grad_b) views are grads, so that an
+    optimizer steps every parameter in one pass."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self._shapes = {name: p.shape for name, p in params.items()}
-        self.value = np.concatenate([p.reshape(-1) for p in params.values()])
+    def __init__(self, layers: list[DenseLayer]):
+        params = [p for layer in layers for p in (layer.weight, layer.bias)]
+        self._shapes = [p.shape for p in params]
+        self.value = np.concatenate([p.reshape(-1) for p in params])
         self.grad = np.empty_like(self.value)
-        self.views = self.unflatten(self.value)
-        self.grad_views = self.unflatten(self.grad)
+        for layer, (w, b) in zip(layers, self.unflatten(self.value)):
+            layer.weight, layer.bias = w, b
+        self.grads = self.unflatten(self.grad)
 
-    def unflatten(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-name views of a vector laid out like value, e.g. a copy of it."""
-        out, start = {}, 0
-        for name, shape in self._shapes.items():
-            end = start + math.prod(shape)
-            out[name] = vector[start:end].reshape(shape)
-            start = end
-        return out
+    def unflatten(self, vector: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weight, bias) views of a vector laid out like value, e.g.
+        a copy of it."""
+        ends = np.cumsum([math.prod(shape) for shape in self._shapes])
+        views = [part.reshape(shape)
+                 for part, shape in zip(np.split(vector, ends[:-1]), self._shapes)]
+        return list(zip(views[::2], views[1::2]))
 
     def step(self, optimizer: "_Optimizer", epoch: int) -> None:
-        """Step value by grad, which the caller filled through grad_views."""
+        """Step value by grad, which the caller filled through grads."""
         try:
-            optimizer.step({"flat": self.value}, {"flat": self.grad}, epoch)
+            optimizer.step(self.value, self.grad, epoch)
         except NumericError:  # the optimizer saw a non-finite gradient; name it
-            bad = [name for name, g in self.grad_views.items() if not np.all(np.isfinite(g))]
-            raise NumericError(f"non-finite gradient for parameter '{bad[0]}'") from None
+            i, part = next((i, part) for i, pair in enumerate(self.grads)
+                           for part, g in zip(("weight", "bias"), pair)
+                           if not np.all(np.isfinite(g)))
+            raise NumericError(f"non-finite gradient in layer {i} {part}") from None
 
 
 class _Optimizer:
-    """Updates each named parameter in place with per-name state and scratch
-    buffers; every float rounds as in the textbook out-of-place formula."""
+    """Updates one parameter array in place, with state and scratch buffers
+    made on the first step; every float rounds as in the textbook out-of-place
+    formula."""
 
     def __init__(self, schedule: LrSchedule):
         self.schedule = schedule
         self._last_epoch = -1
-        self._state: dict[str, list[np.ndarray]] = {}
+        self._buffers = None
 
-    def _check(self, params, grads, epoch):
+    def _prepare(self, param, grad, epoch, zeroed: int, scratch: int) -> list[np.ndarray]:
+        """Validate one step's arguments; returns the state and scratch buffers."""
         if epoch < self._last_epoch:
             raise StateError(f"epoch went backwards: {epoch} < {self._last_epoch}")
         self._last_epoch = epoch
-        for name, grad in grads.items():
-            if params[name].shape != grad.shape:
-                raise ShapeError(
-                    f"gradient shape {grad.shape} does not match parameter "
-                    f"'{name}' {params[name].shape}"
-                )
-            if not np.isfinite(grad).all():
-                raise NumericError(f"non-finite gradient for parameter '{name}'")
-
-    def _buffers(self, name: str, param: np.ndarray, zeroed: int, scratch: int):
-        if name not in self._state:
-            self._state[name] = ([np.zeros_like(param) for _ in range(zeroed)]
-                                 + [np.empty_like(param) for _ in range(scratch)])
-        return self._state[name]
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             epoch: int) -> None:
-        raise NotImplementedError
+        if param.shape != grad.shape:
+            raise ShapeError(f"gradient shape {grad.shape} does not match parameter "
+                             f"{param.shape}")
+        if not np.isfinite(grad).all():
+            raise NumericError("non-finite gradient")
+        if self._buffers is None:
+            self._buffers = ([np.zeros_like(param) for _ in range(zeroed)]
+                             + [np.empty_like(param) for _ in range(scratch)])
+        return self._buffers
 
 
 class SgdMomentum(_Optimizer):
@@ -361,15 +346,12 @@ class SgdMomentum(_Optimizer):
         super().__init__(schedule)
         self.momentum = float(momentum)
 
-    def step(self, params, grads, epoch):
-        self._check(params, grads, epoch)
+    def step(self, param: np.ndarray, grad: np.ndarray, epoch: int) -> None:
+        vel, update = self._prepare(param, grad, epoch, zeroed=1, scratch=1)
         lr = self.schedule.lr_at(epoch)
-        for name, grad in grads.items():
-            param = params[name]
-            vel, update = self._buffers(name, param, zeroed=1, scratch=1)
-            vel *= self.momentum
-            vel += grad
-            param -= np.multiply(vel, lr, out=update)
+        vel *= self.momentum
+        vel += grad
+        param -= np.multiply(vel, lr, out=update)
 
 
 class Adam(_Optimizer):
@@ -381,27 +363,24 @@ class Adam(_Optimizer):
         self.eps = float(eps)
         self._t = 0
 
-    def step(self, params, grads, epoch):
-        self._check(params, grads, epoch)
+    def step(self, param: np.ndarray, grad: np.ndarray, epoch: int) -> None:
+        m, v, s, u = self._prepare(param, grad, epoch, zeroed=2, scratch=2)
         lr = self.schedule.lr_at(epoch)
         self._t += 1
         b1c = 1.0 - self.beta1 ** self._t
         b2c = 1.0 - self.beta2 ** self._t
-        for name, grad in grads.items():
-            param = params[name]
-            m, v, s, u = self._buffers(name, param, zeroed=2, scratch=2)
-            m *= self.beta1
-            # m of a parameter whose gradient stays 0 (a dead ReLU unit) decays
-            # into subnormals, which x86 handles several times slower; zero it
-            # there. Its update was already far below one ulp of the parameter.
-            m *= np.greater_equal(np.abs(m, out=s), np.finfo(m.dtype).tiny, out=u)
-            m += np.multiply(grad, 1.0 - self.beta1, out=s)
-            v *= self.beta2
-            np.multiply(grad, 1.0 - self.beta2, out=s)
-            v += np.multiply(s, grad, out=s)
-            # update = lr * (m / b1c) / (sqrt(v / b2c) + eps)
-            np.multiply(np.divide(m, b1c, out=s), lr, out=s)
-            np.sqrt(np.divide(v, b2c, out=u), out=u)
-            u += self.eps
-            s /= u
-            param -= s
+        m *= self.beta1
+        # m of a parameter whose gradient stays 0 (a dead ReLU unit) decays
+        # into subnormals, which x86 handles several times slower; zero it
+        # there. Its update was already far below one ulp of the parameter.
+        m *= np.greater_equal(np.abs(m, out=s), np.finfo(m.dtype).tiny, out=u)
+        m += np.multiply(grad, 1.0 - self.beta1, out=s)
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s)
+        v += np.multiply(s, grad, out=s)
+        # update = lr * (m / b1c) / (sqrt(v / b2c) + eps)
+        np.multiply(np.divide(m, b1c, out=s), lr, out=s)
+        np.sqrt(np.divide(v, b2c, out=u), out=u)
+        u += self.eps
+        s /= u
+        param -= s

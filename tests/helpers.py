@@ -1,6 +1,7 @@
 """Helpers that only the tests use: a seeded RNG, a checked softmax
-cross-entropy, a finite-difference gradient checker, Spearman rank
-correlation, a one-class distribution and a version-1 model file."""
+cross-entropy, a finite-difference gradient checker and the name-keyed CVAE
+parameters it reads, Spearman rank correlation, a one-class distribution and
+a version-1 model file."""
 
 from __future__ import annotations
 
@@ -63,6 +64,20 @@ def gradcheck(loss_fn, params: dict[str, np.ndarray], h: float = 1e-3,
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def set_cvae_params(model, params: dict[str, np.ndarray]) -> None:
+    """Rebind a CVAE's layers to the arrays of a dict keyed like its
+    named_params, e.g. gradcheck's float64 copies."""
+    for prefix, layers in (("enc", model.encoder), ("dec", model.decoder)):
+        for i, layer in enumerate(layers):
+            layer.weight, layer.bias = params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"]
+
+
+def named_grads(model, grads) -> dict[str, np.ndarray]:
+    """loss_and_grads' per-layer (grad_w, grad_b) pairs, encoder first, keyed
+    like the model's named_params."""
+    return dict(zip(model.named_params(), (g for pair in grads for g in pair)))
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

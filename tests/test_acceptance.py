@@ -51,7 +51,14 @@ from loco_pda.numerics import (
     stack_forward,
 )
 
-from helpers import gradcheck, make_rng, softmax_xent_loss, spearman_rho
+from helpers import (
+    gradcheck,
+    make_rng,
+    named_grads,
+    set_cvae_params,
+    softmax_xent_loss,
+    spearman_rho,
+)
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -117,9 +124,9 @@ def test_criterion_01_gradient_suite(rng):
     def composed_fn(params):
         m = CvaeModel.create(make_rng(0), a_dim=4, num_classes=3, z_dim=2,
                              enc_widths=(8,), dec_widths=(6,))
-        m.set_params(params)
+        set_cvae_params(m, params)
         loss, grads, _, _ = m.loss_and_grads(acts, onehot, noise, beta=0.7)
-        return loss, grads
+        return loss, named_grads(m, grads)
 
     assert gradcheck(composed_fn, model.named_params()) < 1e-3
     assert time.monotonic() - started < 30.0

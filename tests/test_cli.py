@@ -229,6 +229,24 @@ def test_non_finite_domain_exit_code(tiny, capsys, value):
     assert not (out / cli.ADAPTED).exists()
 
 
+@pytest.mark.parametrize("name", [cli.DATA_TRAIN, cli.DATA_VAL])
+def test_unlabeled_dataset_file_exit_code(tiny, capsys, name):
+    """A dataset file without labels is malformed, and the message names it,
+    even when its manifest records its bytes."""
+    cfg, out = tiny
+    assert run(cfg, out, "synth-data") == 0
+    path = out / name
+    path.write_bytes(formats.activation_bytes(
+        ActivationBatch(formats.load_activations(path).features)))
+    manifest_path = out / "manifest_synth-data.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    assert run(cfg, out, "train-source") == cli.EXIT_FORMAT
+    assert str(path) in capsys.readouterr().err
+    assert not (out / cli.MODEL_M0).exists()
+
+
 def test_checksum_refusal_exit_code(tiny):
     """evaluate must refuse inputs whose bytes no longer match the manifest."""
     cfg, out = tiny

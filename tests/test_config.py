@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from loco_pda.adaptation import DEFAULT_BASELINE_HYPER, AdaptationConfig
 from loco_pda.config import (
     PipelineConfig,
     config_hash,
@@ -13,7 +14,14 @@ from loco_pda.config import (
     parse_config_text,
     render_config,
 )
+from loco_pda.cvae import CvaeHyper
 from loco_pda.errors import ConfigError
+from loco_pda.models import (
+    DEFAULT_FEATURE_WIDTHS,
+    DEFAULT_FINETUNE_HYPER,
+    DEFAULT_SOURCE_HYPER,
+    DatasetSpec,
+)
 
 
 def test_defaults_pin_the_recipe():
@@ -93,6 +101,19 @@ def test_render_parse_round_trip_of_every_field():
     assert all(getattr(cfg, f.name) != getattr(default, f.name)
                for f in fields(PipelineConfig))
     assert parse_config_text(render_config(cfg)) == cfg
+
+
+def test_default_builders_equal_the_library_defaults():
+    """A default config builds what the library's defaults, which the test
+    fixtures use, build: each default is stated once."""
+    cfg = PipelineConfig()
+    assert cfg.adapt_config() == AdaptationConfig()
+    assert cfg.baseline_hyper() == DEFAULT_BASELINE_HYPER
+    assert cfg.cvae_hyper() == CvaeHyper()
+    assert cfg.source_hyper() == DEFAULT_SOURCE_HYPER
+    assert cfg.finetune_hyper() == DEFAULT_FINETUNE_HYPER
+    assert cfg.dataset_spec(3) == DatasetSpec(seed=3)
+    assert cfg.feature_widths == DEFAULT_FEATURE_WIDTHS
 
 
 def test_default_config_hash_is_pinned():

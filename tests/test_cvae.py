@@ -35,7 +35,7 @@ from loco_pda.models import (
 )
 from loco_pda.numerics import Activation, DenseLayer, derive_rng, one_hot, stage_key
 
-from helpers import gradcheck, make_rng
+from helpers import gradcheck, make_rng, named_grads, set_cvae_params
 
 
 # --- KL divergence ---
@@ -111,6 +111,10 @@ def test_beta_schedule_validation():
         BetaSchedule(every_epochs=0)
     with pytest.raises(ValueError):
         BetaSchedule(start=2.0, max_value=1.0)
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"start": nan}, {"step": nan}, {"max_value": nan}, {"max_value": inf}):
+        with pytest.raises(ValueError):
+            BetaSchedule(**bad)
 
 
 # --- model mechanics ---
@@ -133,7 +137,8 @@ def test_create_shapes_unconditional():
     m = _tiny_model(num_classes=0)
     assert m.encoder[0].in_dim == 4
     assert m.decoder[0].in_dim == 2
-    mu, lv = m.encode(np.zeros((5, 4), dtype=np.float32), np.zeros((5, 0), dtype=np.float32))
+    assert m.onehot(np.zeros(5, dtype=np.int64)) is None
+    mu, lv = m.encode(np.zeros((5, 4), dtype=np.float32), None)
     assert mu.shape == lv.shape == (5, 2)
 
 
@@ -176,9 +181,9 @@ def test_composed_loss_gradients_with_frozen_noise(rng):
 
     def fn(params):
         m = _tiny_model()
-        m.set_params(params)
+        set_cvae_params(m, params)
         loss, grads, _, _ = m.loss_and_grads(acts, onehot, noise, beta=0.7)
-        return loss, grads
+        return loss, named_grads(m, grads)
 
     assert gradcheck(fn, model.named_params()) < 1e-3
 
@@ -252,7 +257,8 @@ def test_divergence_carries_last_finite_checkpoint():
         train_cvae(acts, 2, hyper=hyper, z_dim=2, enc_widths=(8,), dec_widths=(6,))
     err = exc_info.value
     assert err.checkpoint is not None
-    assert all(np.all(np.isfinite(v)) for v in err.checkpoint.values())
+    assert len(err.checkpoint) == 4  # (weight, bias) of 2 encoder and 2 decoder layers
+    assert all(np.all(np.isfinite(a)) for pair in err.checkpoint for a in pair)
     assert err.epoch is not None
 
 
@@ -430,7 +436,7 @@ def test_pack_generation_is_bitwise_a_per_member_decode():
         for c, vae in enumerate(pack.vaes):
             rng = derive_rng(9, stage_key("generate"), c)
             z = rng.standard_normal((counts[c], vae.z_dim)).astype(np.float32)
-            feats.append(vae.decode(z, np.zeros((counts[c], 0), np.float32)))
+            feats.append(vae.decode(z, None))
         want = np.concatenate(feats)
         assert got.features.dtype == want.dtype
         assert got.features.tobytes() == want.tobytes()

@@ -29,7 +29,6 @@ from loco_pda.numerics import (
     derive_rng,
     stack_backward,
     stack_forward,
-    stack_params,
     stage_key,
 )
 
@@ -161,10 +160,11 @@ def test_train_rejects_out_of_range_labels():
 def _textbook_train(layers, x, y, hyper, seed, val):
     """train_softmax_stack written plainly: a fancy-indexed batch, the loss and
     the softmax each from their own shift and exp, a full stack_backward and
-    an optimizer step per parameter name."""
+    one optimizer per weight and per bias."""
     sched = LrSchedule(hyper.lr, hyper.lr_step_epochs, hyper.lr_gamma)
-    opt = Adam(sched) if hyper.optimizer == "adam" else SgdMomentum(sched, hyper.momentum)
-    params = stack_params(layers)
+    params = [p for layer in layers for p in (layer.weight, layer.bias)]
+    opts = [Adam(sched) if hyper.optimizer == "adam" else SgdMomentum(sched, hyper.momentum)
+            for _ in params]
     rng = derive_rng(seed, stage_key("shuffle"))
     n = x.shape[0]
     log = []
@@ -186,10 +186,8 @@ def _textbook_train(layers, x, y, hyper, seed, val):
             hits += int((np.argmax(logits, axis=1) == by).sum())
             losses.append(loss * len(by))
             _, per_layer = stack_backward(layers, grad)
-            grads = {}
-            for i, (gw, gb) in enumerate(per_layer):
-                grads[f"layer{i}.w"], grads[f"layer{i}.b"] = gw, gb
-            opt.step(params, grads, epoch)
+            for opt, param, g in zip(opts, params, (g for pair in per_layer for g in pair)):
+                opt.step(param, g, epoch)
         val_logits = stack_forward(layers, val[0], keep=False)
         val_acc = float((np.argmax(val_logits, axis=1) == val[1]).mean())
         log.append(EpochStats(epoch, sum(losses) / n, hits / n, val_acc))

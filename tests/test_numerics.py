@@ -4,7 +4,9 @@ gradients."""
 
 from __future__ import annotations
 
+import ast
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,48 +216,46 @@ def test_lr_schedule_no_decay_when_disabled():
 
 
 def test_lr_schedule_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        LrSchedule(0.0)
-    with pytest.raises(ValueError):
-        LrSchedule(-1e-3)
+    for bad in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            LrSchedule(bad)
 
 
 def test_adam_single_step_by_hand():
     # t=1: m-hat = g, v-hat = g^2, so the update is lr * g/(|g| + eps)
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.5, -0.25])}
+    param = np.array([1.0, -2.0])
     opt = Adam(LrSchedule(0.1))
-    opt.step(params, grads, epoch=0)
-    np.testing.assert_allclose(params["w"], [0.9, -1.9], atol=1e-7)
+    opt.step(param, np.array([0.5, -0.25]), epoch=0)
+    np.testing.assert_allclose(param, [0.9, -1.9], atol=1e-7)
 
 
 def test_sgd_momentum_two_steps_by_hand():
-    params = {"w": np.array([1.0])}
+    param = np.array([1.0])
     opt = SgdMomentum(LrSchedule(0.1), momentum=0.9)
-    opt.step(params, {"w": np.array([0.5])}, epoch=0)
-    np.testing.assert_allclose(params["w"], [0.95])
+    opt.step(param, np.array([0.5]), epoch=0)
+    np.testing.assert_allclose(param, [0.95])
     # velocity 0.5*0.9 + 0.5 = 0.95, step 0.095
-    opt.step(params, {"w": np.array([0.5])}, epoch=0)
-    np.testing.assert_allclose(params["w"], [0.855])
+    opt.step(param, np.array([0.5]), epoch=0)
+    np.testing.assert_allclose(param, [0.855])
 
 
 def test_optimizer_rejects_nonfinite_gradient():
     opt = SgdMomentum(LrSchedule(0.1))
     with pytest.raises(NumericError):
-        opt.step({"w": np.zeros(2)}, {"w": np.array([1.0, np.nan])}, epoch=0)
+        opt.step(np.zeros(2), np.array([1.0, np.nan]), epoch=0)
 
 
 def test_optimizer_rejects_shape_mismatch():
     opt = Adam(LrSchedule(0.1))
     with pytest.raises(ShapeError):
-        opt.step({"w": np.zeros(2)}, {"w": np.zeros(3)}, epoch=0)
+        opt.step(np.zeros(2), np.zeros(3), epoch=0)
 
 
 def test_optimizer_rejects_backwards_epoch():
     opt = SgdMomentum(LrSchedule(0.1))
-    opt.step({"w": np.zeros(1)}, {"w": np.zeros(1)}, epoch=3)
+    opt.step(np.zeros(1), np.zeros(1), epoch=3)
     with pytest.raises(StateError):
-        opt.step({"w": np.zeros(1)}, {"w": np.zeros(1)}, epoch=2)
+        opt.step(np.zeros(1), np.zeros(1), epoch=2)
 
 
 # --- in-place optimizers against the textbook out-of-place formulas ---
@@ -300,7 +300,7 @@ def _grad_stream(dtype, steps, shape=(16, 12), dead_after=None, seed=3):
 def _run(opt, param, grads, epochs):
     param = param.copy()
     for g, epoch in zip(grads, epochs):
-        opt.step({"w": param}, {"w": g}, epoch)
+        opt.step(param, g, epoch)
     return param
 
 
@@ -342,35 +342,45 @@ def test_adam_subnormal_flush_keeps_parameters_bitwise():
     assert _bits_equal(got, want)
 
 
-def test_flat_params_step_matches_per_name_step():
+def test_flat_params_step_matches_per_array_step():
+    """One optimizer over the flat vector lands on the same bits as one
+    optimizer per weight and bias, and each layer is rebound to its views."""
     rng = make_rng(6)
-    params = {"a.w": rng.standard_normal((3, 4)).astype(np.float32),
-              "a.b": rng.standard_normal(3).astype(np.float32)}
-    grads = [{k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+    layers = [DenseLayer(rng.standard_normal((3, 4)).astype(np.float32),
+                         rng.standard_normal(3).astype(np.float32), Activation.RELU),
+              DenseLayer(rng.standard_normal((2, 3)).astype(np.float32),
+                         rng.standard_normal(2).astype(np.float32), Activation.IDENTITY)]
+    arrays = [p.copy() for layer in layers for p in (layer.weight, layer.bias)]
+    grads = [[rng.standard_normal(p.shape).astype(np.float32) for p in arrays]
              for _ in range(5)]
-    per_name = {k: v.copy() for k, v in params.items()}
+    opts = [Adam(LrSchedule(1e-2)) for _ in arrays]
+    for g in grads:
+        for opt, p, gp in zip(opts, arrays, g):
+            opt.step(p, gp, epoch=0)
+    flat = FlatParams(layers)
     opt = Adam(LrSchedule(1e-2))
     for g in grads:
-        opt.step(per_name, g, epoch=0)
-    flat = FlatParams(params)
-    opt = Adam(LrSchedule(1e-2))
-    for g in grads:
-        for name, view in flat.grad_views.items():
-            view[...] = g[name]
+        for view, gp in zip((v for pair in flat.grads for v in pair), g):
+            view[...] = gp
         flat.step(opt, epoch=0)
-    for name in params:
-        assert _bits_equal(flat.views[name], per_name[name])
-        np.testing.assert_array_equal(flat.views[name],
-                                      flat.unflatten(flat.value.copy())[name])
+    copies = flat.unflatten(flat.value.copy())
+    for i, layer in enumerate(layers):
+        for part, (got, want) in enumerate(zip((layer.weight, layer.bias), arrays[2 * i:])):
+            assert np.shares_memory(got, flat.value)
+            assert _bits_equal(got, want)
+            assert _bits_equal(copies[i][part], want)
 
 
 def test_flat_params_names_the_nonfinite_parameter():
-    params = {"a.w": np.zeros((2, 2), dtype=np.float32),
-              "a.b": np.zeros(2, dtype=np.float32)}
-    flat = FlatParams(params)
-    flat.grad_views["a.w"][...] = 0
-    flat.grad_views["a.b"][...] = [0.0, np.inf]
-    with pytest.raises(NumericError, match="'a.b'"):
+    layers = [DenseLayer(np.zeros((2, 2), dtype=np.float32), np.zeros(2, dtype=np.float32),
+                         Activation.RELU) for _ in range(2)]
+    flat = FlatParams(layers)
+    flat.grad[...] = 0
+    flat.grads[1][1][...] = [0.0, np.inf]
+    with pytest.raises(NumericError, match="layer 1 bias"):
+        flat.step(SgdMomentum(LrSchedule(0.1)), epoch=0)
+    flat.grads[0][0][0, 1] = np.nan
+    with pytest.raises(NumericError, match="layer 0 weight"):
         flat.step(SgdMomentum(LrSchedule(0.1)), epoch=0)
 
 
@@ -398,8 +408,8 @@ def test_backward_into_caller_views_writes_the_same_bits(activation, rng):
     grad_out = rng.standard_normal((9, 5)).astype(np.float32)
     layer.forward(x)
     want = layer.backward(grad_out)
-    flat = FlatParams({"w": layer.weight, "b": layer.bias})
-    views = (flat.grad_views["w"], flat.grad_views["b"])
+    flat = FlatParams([layer])
+    views = flat.grads[0]
     layer.forward(x)
     got = layer.backward(grad_out, out=views)
     assert got[1] is views[0] and got[2] is views[1]
@@ -531,3 +541,18 @@ def test_stage_keys_of_the_source_are_distinct():
     assert len(tags) >= 13
     keys = {stage_key(tag): tag for tag in tags}
     assert len(keys) == len(tags), sorted(tags - set(keys.values()))
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    """No runtime dependency beyond numpy: every top-level module that a
+    package module imports is in the standard library, numpy, or the package."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "loco_pda"}
+    imported = set()
+    for path in sorted(Path(loco_pda.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported <= allowed, sorted(imported - allowed)
