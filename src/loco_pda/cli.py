@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -242,11 +243,7 @@ def cmd_train_source(ctx: Context, args) -> list[str]:
         ds, feature_widths=tuple(ctx.cfg.feature_widths),
         hyper=ctx.cfg.source_hyper(), seed=ctx.seed)
     formats.save_mlp(ctx.path(MODEL_M0), model)
-    _write_json(ctx.path(SOURCE_LOG), [
-        {"epoch": e.epoch, "train_loss": e.train_loss,
-         "train_accuracy": e.train_accuracy, "val_accuracy": e.val_accuracy}
-        for e in log
-    ])
+    _write_json(ctx.path(SOURCE_LOG), [asdict(e) for e in log])
     return [MODEL_M0, SOURCE_LOG]
 
 
@@ -274,11 +271,7 @@ def cmd_train_cvae(ctx: Context, args) -> list[str]:
         z_dim=ctx.cfg.cvae_z_dim, enc_widths=tuple(ctx.cfg.cvae_enc_widths),
         dec_widths=tuple(ctx.cfg.cvae_dec_widths))
     formats.save_cvae(ctx.path(CVAE_ENC), ctx.path(CVAE_DEC), model)
-    _write_json(ctx.path(CVAE_LOG), [
-        {"epoch": e.epoch, "loss": e.loss, "recon": e.recon, "kl": e.kl,
-         "beta": e.beta}
-        for e in log
-    ])
+    _write_json(ctx.path(CVAE_LOG), [asdict(e) for e in log])
     return [CVAE_ENC, CVAE_DEC, CVAE_LOG]
 
 

@@ -24,8 +24,15 @@ from .cvae import (
     BetaSchedule,
     CvaeHyper,
 )
-from .errors import ConfigError
-from .models import DatasetSpec, TrainHyper
+from .errors import ConfigError, ShapeError
+from .models import (
+    DEFAULT_FEATURE_WIDTHS,
+    DEFAULT_FINETUNE_HYPER,
+    DEFAULT_SOURCE_HYPER,
+    DatasetSpec,
+    TrainHyper,
+    pruned_width,
+)
 
 
 def _float(text: str) -> float:
@@ -48,61 +55,77 @@ def _subset_list(text: str) -> tuple:
     return tuple(_int_tuple(g) for g in groups)
 
 
-def _key(section: str, default, parse=None):
-    """A field keyed in `[section]` by its name less any `section_` prefix, and
-    parsed by parse, or else by the parser of its default's type."""
-    return field(default=default, metadata={"section": section, "parse": parse})
+def _key(section: str, default, rule=None, parse=None):
+    """A field keyed in `[section]` by its name less any `section_` prefix,
+    parsed by parse, or else by the parser of its default's type. rule is a
+    (test, message) pair that each value, or each entry of a list value, must
+    pass; every test is false for NaN."""
+    return field(default=default,
+                 metadata={"section": section, "rule": rule, "parse": parse})
+
+
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_AT_LEAST_2 = (lambda v: v >= 2, "must be >= 2")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_FINITE = (math.isfinite, "must be finite")
+_FRACTION = (lambda v: 0 <= v < 1, "must lie in [0, 1)")
+_DECAY = (lambda v: 0 < v <= 1, "must lie in (0, 1]")
 
 
 @dataclass
 class PipelineConfig:
     # declaration order is the canonical render order
-    classes: int = _key("dataset", 20)
-    input_dim: int = _key("dataset", 32)
-    train_per_class: int = _key("dataset", 200)
-    val_per_class: int = _key("dataset", 50)
-    class_mean_scale: float = _key("dataset", 1.0)
-    within_class_sigma: float = _key("dataset", 0.8)
-    feature_widths: tuple = _key("model", (64, 32, 16))
-    source_epochs: int = _key("model", 15)
-    source_batch: int = _key("model", 64)
-    source_lr: float = _key("model", 1e-3)
-    prune_fraction: float = _key("model", 0.3)
-    finetune_epochs: int = _key("model", 5)
-    finetune_lr: float = _key("model", 1e-3)
-    cvae_z_dim: int = _key("cvae", DEFAULT_Z_DIM)
-    cvae_enc_widths: tuple = _key("cvae", DEFAULT_ENC_WIDTHS)
-    cvae_dec_widths: tuple = _key("cvae", DEFAULT_DEC_WIDTHS)
-    cvae_epochs: int = _key("cvae", 90)
-    cvae_batch: int = _key("cvae", 128)
-    cvae_lr: float = _key("cvae", 1e-3)
-    cvae_lr_step_epochs: int = _key("cvae", 30)
-    cvae_lr_gamma: float = _key("cvae", 0.1)
-    beta_start: float = _key("cvae", 0.0)
-    beta_step: float = _key("cvae", 0.1)
-    beta_every: int = _key("cvae", 3)
-    beta_max: float = _key("cvae", 1.0)
-    uncond_z_dim: int = _key("uncond", UNCOND_Z_DIM)
-    uncond_enc_widths: tuple = _key("uncond", UNCOND_ENC_WIDTHS)
-    uncond_dec_widths: tuple = _key("uncond", UNCOND_DEC_WIDTHS)
-    adapt_r: int = _key("adapt", DEFAULT_R)
-    adapt_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.epochs)
-    adapt_batch: int = _key("adapt", DEFAULT_ADAPT_HYPER.batch_size)
-    adapt_lr: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr)
-    adapt_lr_step_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.lr_step_epochs)
-    adapt_lr_gamma: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr_gamma)
-    adapt_momentum: float = _key("adapt", DEFAULT_ADAPT_HYPER.momentum)
-    baseline_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.epochs)
-    baseline_batch: int = _key("baseline", DEFAULT_BASELINE_HYPER.batch_size)
-    baseline_lr: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr)
-    baseline_lr_step_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.lr_step_epochs)
-    baseline_lr_gamma: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr_gamma)
-    baseline_momentum: float = _key("baseline", DEFAULT_BASELINE_HYPER.momentum)
+    classes: int = _key("dataset", DatasetSpec.num_classes, _AT_LEAST_2)
+    input_dim: int = _key("dataset", DatasetSpec.input_dim, _AT_LEAST_2)
+    train_per_class: int = _key("dataset", DatasetSpec.train_per_class, _AT_LEAST_1)
+    val_per_class: int = _key("dataset", DatasetSpec.val_per_class, _AT_LEAST_1)
+    class_mean_scale: float = _key("dataset", DatasetSpec.class_mean_scale, _FINITE)
+    within_class_sigma: float = _key("dataset", DatasetSpec.within_class_sigma, _POSITIVE)
+    feature_widths: tuple = _key("model", DEFAULT_FEATURE_WIDTHS, _AT_LEAST_2)
+    source_epochs: int = _key("model", DEFAULT_SOURCE_HYPER.epochs, _AT_LEAST_1)
+    source_batch: int = _key("model", DEFAULT_SOURCE_HYPER.batch_size, _AT_LEAST_1)
+    source_lr: float = _key("model", DEFAULT_SOURCE_HYPER.lr, _NON_NEGATIVE)
+    prune_fraction: float = _key("model", 0.3, _FRACTION)
+    finetune_epochs: int = _key("model", DEFAULT_FINETUNE_HYPER.epochs, _AT_LEAST_1)
+    finetune_lr: float = _key("model", DEFAULT_FINETUNE_HYPER.lr, _NON_NEGATIVE)
+    cvae_z_dim: int = _key("cvae", DEFAULT_Z_DIM, _AT_LEAST_1)
+    cvae_enc_widths: tuple = _key("cvae", DEFAULT_ENC_WIDTHS, _AT_LEAST_1)
+    cvae_dec_widths: tuple = _key("cvae", DEFAULT_DEC_WIDTHS, _AT_LEAST_1)
+    cvae_epochs: int = _key("cvae", CvaeHyper.epochs, _AT_LEAST_1)
+    cvae_batch: int = _key("cvae", CvaeHyper.batch_size, _AT_LEAST_1)
+    # the classifier trainers skip their updates at lr 0, but Adam's schedule needs a rate
+    cvae_lr: float = _key("cvae", CvaeHyper.lr, _POSITIVE)
+    cvae_lr_step_epochs: int = _key("cvae", CvaeHyper.lr_step_epochs, _NON_NEGATIVE)
+    cvae_lr_gamma: float = _key("cvae", CvaeHyper.lr_gamma, _DECAY)
+    beta_start: float = _key("cvae", BetaSchedule.start, _NON_NEGATIVE)
+    beta_step: float = _key("cvae", BetaSchedule.step, _NON_NEGATIVE)
+    beta_every: int = _key("cvae", BetaSchedule.every_epochs, _AT_LEAST_1)
+    beta_max: float = _key("cvae", BetaSchedule.max_value, _NON_NEGATIVE)
+    uncond_z_dim: int = _key("uncond", UNCOND_Z_DIM, _AT_LEAST_1)
+    uncond_enc_widths: tuple = _key("uncond", UNCOND_ENC_WIDTHS, _AT_LEAST_1)
+    uncond_dec_widths: tuple = _key("uncond", UNCOND_DEC_WIDTHS, _AT_LEAST_1)
+    adapt_r: int = _key("adapt", DEFAULT_R, _AT_LEAST_1)
+    adapt_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.epochs, _AT_LEAST_1)
+    adapt_batch: int = _key("adapt", DEFAULT_ADAPT_HYPER.batch_size, _AT_LEAST_1)
+    adapt_lr: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr, _NON_NEGATIVE)
+    adapt_lr_step_epochs: int = _key("adapt", DEFAULT_ADAPT_HYPER.lr_step_epochs, _NON_NEGATIVE)
+    adapt_lr_gamma: float = _key("adapt", DEFAULT_ADAPT_HYPER.lr_gamma, _DECAY)
+    adapt_momentum: float = _key("adapt", DEFAULT_ADAPT_HYPER.momentum, _FRACTION)
+    baseline_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.epochs, _AT_LEAST_1)
+    baseline_batch: int = _key("baseline", DEFAULT_BASELINE_HYPER.batch_size, _AT_LEAST_1)
+    baseline_lr: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr, _NON_NEGATIVE)
+    baseline_lr_step_epochs: int = _key("baseline", DEFAULT_BASELINE_HYPER.lr_step_epochs,
+                                        _NON_NEGATIVE)
+    baseline_lr_gamma: float = _key("baseline", DEFAULT_BASELINE_HYPER.lr_gamma, _DECAY)
+    baseline_momentum: float = _key("baseline", DEFAULT_BASELINE_HYPER.momentum, _FRACTION)
+    # target_classes and extra_subsets are checked against classes in validate()
     target_classes: tuple = _key("scenario", (0, 1, 2, 3, 4))
     # additional D' class subsets for the matrix
-    extra_subsets: tuple = _key("scenario", (), _subset_list)
-    seeds: tuple = _key("scenario", (0, 1, 2, 3, 4))
-    sweep_budgets: tuple = _key("sweep", (136, 340, 680, 1700, 3400, 6800, 17000, 34000))
+    extra_subsets: tuple = _key("scenario", (), parse=_subset_list)
+    seeds: tuple = _key("scenario", (0, 1, 2, 3, 4), _NON_NEGATIVE)
+    sweep_budgets: tuple = _key("sweep", (136, 340, 680, 1700, 3400, 6800, 17000, 34000),
+                                _POSITIVE)
 
     # --- derived builders ---
 
@@ -146,76 +169,51 @@ class PipelineConfig:
                        momentum=self.baseline_momentum)
 
     def validate(self) -> None:
-        def bad(msg):
-            raise ConfigError(msg)
-
-        if self.classes < 2:
-            bad("dataset.classes must be >= 2")
-        if self.input_dim < 2:
-            bad("dataset.input_dim must be >= 2")
-        if self.train_per_class < 1 or self.val_per_class < 1:
-            bad("per-class sample counts must be >= 1")
-        if self.within_class_sigma <= 0:
-            bad("dataset.within_class_sigma must be > 0")
+        for (section, key), f in _KEYS.items():
+            if f.metadata["rule"] is not None:
+                test, message = f.metadata["rule"]
+                value = getattr(self, f.name)
+                if not all(map(test, value if isinstance(value, tuple) else (value,))):
+                    raise ConfigError(f"{section}.{key} {message}")
+        # the checks below span keys, or the entries of one key
         if len(self.feature_widths) < 2:
-            bad("model.feature_widths needs at least two layers")
-        if any(w < 2 for w in self.feature_widths):
-            bad("model.feature_widths entries must be >= 2")
-        if not (0 <= self.prune_fraction < 1):
-            bad("model.prune_fraction must lie in [0, 1)")
-        if self.cvae_z_dim < 1 or self.uncond_z_dim < 1:
-            bad("latent sizes must be >= 1")
-        if self.adapt_r < 1:
-            bad("adapt.r must be >= 1")
+            raise ConfigError("model.feature_widths needs at least two layers")
+        for width in self.feature_widths[:-1]:  # the activation layer is kept whole
+            try:
+                pruned_width(width, self.prune_fraction)
+            except ShapeError as exc:
+                raise ConfigError(f"model.feature_widths with model.prune_fraction: {exc}")
+        try:
+            self.cvae_hyper()
+        except ValueError as exc:
+            raise ConfigError(f"[cvae] beta schedule: {exc}")
         seen_subsets = set()
         for key, subset in [("target_classes", self.target_classes),
                             *(("extra_subsets", s) for s in self.extra_subsets)]:
             if not subset or any(c < 0 or c >= self.classes for c in subset):
-                bad(f"scenario.{key} must be nonempty and lie in [0, {self.classes})")
+                raise ConfigError(
+                    f"scenario.{key} must be nonempty and lie in [0, {self.classes})")
             if len(set(subset)) != len(subset):
-                bad(f"scenario.{key} has duplicates")
+                raise ConfigError(f"scenario.{key} has duplicates")
             # the matrix would hold two scenarios with the same rows
             if frozenset(subset) in seen_subsets:
-                bad(f"scenario.{key} repeats the class subset {subset}")
+                raise ConfigError(f"scenario.{key} repeats the class subset {subset}")
             seen_subsets.add(frozenset(subset))
         if not self.seeds:
-            bad("scenario.seeds is empty")
-        if any(s < 0 for s in self.seeds):
-            bad("scenario.seeds must be >= 0")
+            raise ConfigError("scenario.seeds is empty")
         if len(set(self.seeds)) != len(self.seeds):
-            bad("scenario.seeds has duplicates")
+            raise ConfigError("scenario.seeds has duplicates")
         budgets = self.sweep_budgets
         if not budgets:
-            bad("sweep.budgets is empty")
-        if any(b <= 0 for b in budgets):
-            bad("sweep.budgets must be positive")
+            raise ConfigError("sweep.budgets is empty")
         if any(a >= b for a, b in zip(budgets, budgets[1:])):
-            bad("sweep.budgets must be strictly ascending")
-        if self.beta_every < 1:
-            bad("cvae.beta_every must be >= 1")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            # lr_step_epochs may be 0 (decay disabled); epoch/batch counts may not
-            if f.name.endswith("lr_step_epochs"):
-                if v < 0:
-                    bad(f"{f.name} must be >= 0")
-            elif f.name.endswith(("_epochs", "_batch")) and v < 1:
-                bad(f"{f.name} must be >= 1")
-            if f.name.endswith("_lr") and not v >= 0:
-                bad(f"{f.name} must be >= 0")
-            if f.name.endswith("lr_gamma") and not 0 < v <= 1:
-                bad(f"{f.name} must lie in (0, 1]")
-            if f.name.endswith("momentum") and not 0 <= v < 1:
-                bad(f"{f.name} must lie in [0, 1)")
-            if f.name.startswith("beta_") and not v >= 0:
-                bad(f"{f.name} must be >= 0")
+            raise ConfigError("sweep.budgets must be strictly ascending")
 
 
 _PARSERS = {int: int, float: _float, tuple: _int_tuple}
-# (section, key) -> (attribute, value parser), in declaration order
+# (section, key) -> field, in declaration order
 _KEYS = {
-    (f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")):
-        (f.name, f.metadata["parse"] or _PARSERS[type(f.default)])
+    (f.metadata["section"], f.name.removeprefix(f.metadata["section"] + "_")): f
     for f in fields(PipelineConfig)
 }
 _SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
@@ -240,15 +238,15 @@ def parse_config_text(text: str, source: str = "<config>") -> PipelineConfig:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        entry = _KEYS.get((section, key))
-        if entry is None:
+        f = _KEYS.get((section, key))
+        if f is None:
             raise ConfigError(f"{source}:{lineno}: unknown key '{section}.{key}'")
         if (section, key) in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key '{section}.{key}'")
         seen.add((section, key))
-        attr, parser = entry
+        parse = f.metadata["parse"] or _PARSERS[type(f.default)]
         try:
-            setattr(cfg, attr, parser(value))
+            setattr(cfg, f.name, parse(value))
         except ValueError as exc:
             raise ConfigError(
                 f"{source}:{lineno}: invalid value for '{section}.{key}': {exc}"
@@ -281,9 +279,9 @@ def render_config(cfg: PipelineConfig) -> str:
     lines = []
     for section in _SECTIONS:
         lines.append(f"[{section}]")
-        for (sec, key), (attr, _) in _KEYS.items():
+        for (sec, key), f in _KEYS.items():
             if sec == section:
-                lines.append(f"{key} = {_render_value(getattr(cfg, attr))}")
+                lines.append(f"{key} = {_render_value(getattr(cfg, f.name))}")
         lines.append("")
     return "\n".join(lines)
 

@@ -297,6 +297,15 @@ def train_source_model(dataset: LabeledDataset, feature_widths: tuple[int, ...] 
 DEFAULT_FINETUNE_HYPER = TrainHyper(epochs=5, batch_size=64, lr=1e-3)
 
 
+def pruned_width(width: int, fraction: float) -> int:
+    """The units a pruned FE layer of this width keeps, all but
+    floor(fraction*width); keeping fewer than 2 is a ShapeError."""
+    kept = width - int(fraction * width)
+    if kept < 2:
+        raise ShapeError(f"pruning {fraction} of width {width} leaves {kept} units")
+    return kept
+
+
 def prune_model(m0: MlpModel, fraction: float, dataset: LabeledDataset,
                 finetune_hyper: TrainHyper = DEFAULT_FINETUNE_HYPER,
                 seed: int = 0) -> MlpModel:
@@ -321,15 +330,8 @@ def prune_model(m0: MlpModel, fraction: float, dataset: LabeledDataset,
         if is_last_fe:
             carry = None
         else:
-            width = layer.out_dim
-            drop = int(fraction * width)
-            remaining = width - drop
-            if remaining < 2:
-                raise ShapeError(
-                    f"pruning {fraction} of width {width} leaves {remaining} units"
-                )
             norms = np.linalg.norm(weight, axis=1)
-            keep = np.sort(np.argsort(norms)[drop:])
+            keep = np.sort(np.argsort(norms)[-pruned_width(layer.out_dim, fraction):])
             weight = weight[keep]
             bias = bias[keep]
             carry = keep

@@ -271,6 +271,10 @@ class LrSchedule:
     def __init__(self, base_lr: float, step_epochs: int = 0, gamma: float = 1.0):
         if not 0 < base_lr < math.inf:
             raise ValueError(f"learning rate must be positive and finite, got {base_lr}")
+        if not 0 < gamma <= 1:
+            raise ValueError(f"decay factor must lie in (0, 1], got {gamma}")
+        if not step_epochs >= 0:
+            raise ValueError(f"decay step must be >= 0 epochs, got {step_epochs}")
         self.base_lr = float(base_lr)
         self.step_epochs = int(step_epochs)
         self.gamma = float(gamma)

@@ -132,7 +132,12 @@ def test_bad_config_exit_code(tmp_path):
     for text in ("[dataset]\nclasses = one\n", "[scenario]\nextra_subsets = 3,3\n",
                  "[sweep]\nbudgets = 68,68\n", "[scenario]\nseeds = 0,0\n",
                  "[scenario]\nseeds = -1\n", "[scenario]\nextra_subsets = 5,6; 6,5\n",
-                 "[scenario]\nextra_subsets = 4,3,2,1,0\n"):
+                 "[scenario]\nextra_subsets = 4,3,2,1,0\n",
+                 # a stage later would fail on each of these, or train a zero-width layer
+                 "[cvae]\nlr = 0\n", "[cvae]\nenc_widths = -3\n",
+                 "[cvae]\nbeta_start = 0.5\nbeta_max = 0.2\n",
+                 "[model]\nfeature_widths = 2,2,6\nprune_fraction = 0.5\n",
+                 "[cvae]\nenc_widths = 0\n"):
         bad.write_text(text, encoding="utf-8")
         code = cli.main(["synth-data", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG, text

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import re
+import sys
 from dataclasses import fields
 
 import pytest
@@ -232,3 +235,73 @@ def test_validate_rejects_nan_set_in_code():
         PipelineConfig(adapt_lr=float("nan")).validate()
     with pytest.raises(ConfigError):
         PipelineConfig(beta_max=float("nan")).validate()
+
+
+def _edges(message, kind):
+    """(boundary, just past) value pairs of the rule with this message, for
+    values of this type."""
+    def up(x):  # the next int, or the next float
+        return x + 1 if kind is int else math.nextafter(x, math.inf)
+
+    def down(x):
+        return x - 1 if kind is int else math.nextafter(x, -math.inf)
+
+    return {
+        "must be >= 1": [(1, down(1))],
+        "must be >= 2": [(2, down(2))],
+        "must be >= 0": [(0, down(0))],
+        "must be > 0": [(up(0), 0)],
+        "must be finite": [(sys.float_info.max, math.inf)],
+        "must lie in [0, 1)": [(0.0, down(0.0)), (down(1.0), 1.0)],
+        "must lie in (0, 1]": [(up(0.0), 0.0), (1.0, up(1.0))],
+    }[message]
+
+
+# the keys judged only by a cross-key check: (boundary, just past) values
+_CROSS_KEY = {"target_classes": [((0, 19), (0, 20))],
+              "extra_subsets": [(((19,),), ((4, 3, 2, 1, 0),))]}
+# other keys set so that a boundary value also passes the cross-key checks
+_ROOM = {"classes": {"target_classes": (0, 1)},
+         # wide enough that keeping a 2**-53 share still keeps >= 2 units
+         "prune_fraction": {"feature_widths": (2**60, 16)}}
+
+
+@pytest.mark.parametrize("f", fields(PipelineConfig), ids=lambda f: f.name)
+def test_every_key_declares_its_range(f):
+    """Each key declares a rule, or a cross-key check judges it; a value just
+    past the rule is refused with an error naming `section.key`, and the
+    boundary value is accepted. A list key's rule applies to each entry."""
+    section = f.metadata["section"]
+    name = f"{section}.{f.name.removeprefix(section + '_')}"
+    rule = f.metadata["rule"]
+    if rule is None:
+        edges = _CROSS_KEY[f.name]
+    else:
+        test, message = rule
+        assert not test(math.nan)
+        if isinstance(f.default, tuple):
+            edges = [((b,) + f.default[1:], (p,) + f.default[1:])
+                     for b, p in _edges(message, type(f.default[0]))]
+        else:
+            edges = _edges(message, type(f.default))
+    room = _ROOM.get(f.name, {})
+    for boundary, past in edges:
+        PipelineConfig(**room, **{f.name: boundary}).validate()
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} "):
+            PipelineConfig(**room, **{f.name: past}).validate()
+
+
+@pytest.mark.parametrize("refused,accepted,message", [
+    (dict(beta_start=0.5, beta_max=0.2), dict(beta_start=0.5, beta_max=0.5),
+     "[cvae] beta schedule: max_value below start"),
+    (dict(feature_widths=(2, 2, 6), prune_fraction=0.5),
+     dict(feature_widths=(2, 2, 6), prune_fraction=0.49),
+     "model.feature_widths with model.prune_fraction: pruning 0.5 of width 2 leaves 1 units"),
+])
+def test_validate_refuses_what_the_library_would(refused, accepted, message):
+    """Rules the library keeps (BetaSchedule's, prune_model's) are checked at
+    load through the library's own code."""
+    with pytest.raises(ConfigError) as exc_info:
+        PipelineConfig(**refused).validate()
+    assert str(exc_info.value) == message
+    PipelineConfig(**accepted).validate()

@@ -221,6 +221,16 @@ def test_lr_schedule_rejects_nonpositive():
             LrSchedule(bad)
 
 
+def test_lr_schedule_rejects_bad_decay():
+    # a NaN or negative factor would give a NaN or loss-climbing rate later on
+    for gamma in (0.0, -1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="decay factor"):
+            LrSchedule(1e-3, 1, gamma)
+    with pytest.raises(ValueError, match="decay step"):
+        LrSchedule(1e-3, -1, 0.1)
+    assert LrSchedule(1e-3, 0, 1.0).lr_at(4) == LrSchedule(1e-3, 1, 1.0).lr_at(4) == 1e-3
+
+
 def test_adam_single_step_by_hand():
     # t=1: m-hat = g, v-hat = g^2, so the update is lr * g/(|g| + eps)
     param = np.array([1.0, -2.0])
