@@ -424,11 +424,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class ModelPredictions:
-    """Label the stream with the deployed model's own argmax predictions."""
-
-
-@dataclass(frozen=True)
 class SyntheticFlip:
     """Flip a fixed fraction of stream labels to uniformly random other classes."""
 
@@ -476,31 +471,22 @@ class NoiseComparison:
                 "baseline_degradation": self.baseline_degradation}
 
 
-def label_noise_experiment(scenario: Scenario,
-                           noise: ModelPredictions | SyntheticFlip,
+def label_noise_experiment(scenario: Scenario, noise: SyntheticFlip,
                            cfg: AdaptationConfig | None = None,
                            baseline_hyper: TrainHyper | None = None) -> NoiseComparison:
-    """Adapt and retrain under certain and noisy labels; report all four
+    """Adapt and retrain under certain and flipped labels; report all four
     accuracies. Same seed and pool size on both sides of each pair, so the
     only difference is the labels."""
     cfg = cfg or AdaptationConfig()
     s = scenario.dataset.spec.num_classes
-    if isinstance(noise, SyntheticFlip):
-        noisy_y = flip_labels(scenario.target_stream[1], noise.rate, s, scenario.seed)
-        kind = f"synthetic-flip-{noise.rate}"
-    else:
-        noisy_y = scenario.predictions
-        kind = "model-predictions"
-    noisy_dist = ClassDistribution.from_labels(noisy_y, s)
-    certain_cfg = replace(cfg, label_mode=LabelMode.GROUND_TRUTH)
-    noisy_cfg = replace(cfg, label_mode=LabelMode.ESTIMATED)
+    noisy_y = flip_labels(scenario.target_stream[1], noise.rate, s, scenario.seed)
     seeds = (scenario.seed,)
-    loco_cert, = scenario.ground_truth_adaptation(certain_cfg, seeds)
-    loco_noisy, = scenario.adapt(noisy_dist, noisy_cfg, seeds)
+    loco_cert, = scenario.ground_truth_adaptation(cfg, seeds)
+    loco_noisy, = scenario.adapt(ClassDistribution.from_labels(noisy_y, s), cfg, seeds)
     base_cert, = scenario.baseline(baseline_hyper, seeds)
     base_noisy, = scenario.baseline(baseline_hyper, seeds, labels=noisy_y)
     return NoiseComparison(
-        noise_kind=kind,
+        noise_kind=f"synthetic-flip-{noise.rate}",
         unadapted_accuracy=scenario.unadapted_accuracy,
         loco_certain=loco_cert.post_accuracy,
         loco_noisy=loco_noisy.post_accuracy,

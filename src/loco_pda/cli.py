@@ -177,9 +177,22 @@ def _write_manifest(ctx: Context, command: str, artifacts: list[str]) -> None:
     _write_json(ctx.path(f"manifest_{command}.json"), manifest)
 
 
+def _read_inputs(path: Path, cfg: PipelineConfig) -> models.ActivationBatch:
+    """The input rows path holds, which must be [dataset] input_dim wide and
+    carry no label at or above [dataset] classes."""
+    batch = formats.load_activations(path)
+    width = batch.features.shape[1]
+    if width != cfg.input_dim:
+        raise FormatError(f"{path} holds rows {width} wide; input_dim is {cfg.input_dim}")
+    if batch.labels is not None and batch.labels.size and batch.labels.max() >= cfg.classes:
+        raise FormatError(f"{path} holds label {batch.labels.max()}; "
+                          f"classes is {cfg.classes}")
+    return batch
+
+
 def _load_dataset(ctx: Context) -> models.LabeledDataset:
-    train, val = (ctx.read(formats.load_activations, "synth-data", name)
-                  for name in (DATA_TRAIN, DATA_VAL))
+    load = partial(_read_inputs, cfg=ctx.cfg)
+    train, val = (ctx.read(load, "synth-data", name) for name in (DATA_TRAIN, DATA_VAL))
     for name, split in ((DATA_TRAIN, train), (DATA_VAL, val)):
         if split.labels is None:
             raise FormatError(f"{ctx.path(name)}: dataset files must carry labels")
@@ -212,8 +225,8 @@ def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch
         p = Path(stream_arg)
         if not p.is_file():
             raise MissingInputError(f"stream file {p} does not exist or is not a file")
-        return formats.load_activations(p)
-    return ctx.read(formats.load_activations, "synth-data", TARGET_STREAM)
+        return _read_inputs(p, ctx.cfg)
+    return ctx.read(partial(_read_inputs, cfg=ctx.cfg), "synth-data", TARGET_STREAM)
 
 
 def _val_subset(ctx: Context):

@@ -9,7 +9,6 @@ from loco_pda.adaptation import (
     AdaptationConfig,
     ClassDistribution,
     LabelMode,
-    ModelPredictions,
     SyntheticFlip,
     adapt_classifier,
     allocate_counts,
@@ -20,6 +19,7 @@ from loco_pda.adaptation import (
     stored_row_bytes,
 )
 from loco_pda.errors import ConfigError, LabelError
+from loco_pda.evaluation import run_experiment_matrix
 from loco_pda.models import ActivationBatch, TrainHyper, extract_activations
 
 from helpers import make_rng, point_mass
@@ -345,9 +345,15 @@ def test_noise_experiment_zero_flip_degrades_nothing(pipe0):
     assert result.noise_kind == "synthetic-flip-0.0"
 
 
-def test_noise_experiment_model_predictions_kind(pipe0):
+def test_estimated_cells_train_on_model_predictions(pipe0):
+    """The matrix's estimated cells label the stream with the deployed model's
+    predictions, and their reports say so."""
     scenario = pipe0.scenario()
-    result = label_noise_experiment(scenario, ModelPredictions(),
-                                    cfg=QUICK_ADAPT, baseline_hyper=QUICK_BASELINE)
-    assert result.noise_kind == "model-predictions"
-    assert 0.0 <= result.baseline_noisy <= 1.0
+    matrix = run_experiment_matrix([("main", scenario)],
+                                   methods=("loco-estimated", "baseline-estimated"),
+                                   seeds=(0,), cfg=QUICK_ADAPT,
+                                   baseline_hyper=QUICK_BASELINE)
+    cells = {c.method: c.report for c in matrix.cells}
+    for report in cells.values():
+        assert report.label_mode is LabelMode.ESTIMATED
+    assert 0.0 <= cells["baseline-estimated"].post_accuracy <= 1.0

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from loco_pda import cli, formats
+from loco_pda import cli, config, formats
 from loco_pda.config import PipelineConfig, load_config
 from loco_pda.models import ActivationBatch
 
@@ -351,6 +352,60 @@ def test_estimate_domain_stream_flag(tiny):
     assert missing == cli.EXIT_MISSING
 
 
+def _other_config(tmp_path, classes, input_dim):
+    other = tmp_path / "other.ini"
+    other.write_text(TINY_CONFIG.replace("classes = 4\ninput_dim = 8",
+                                         f"classes = {classes}\ninput_dim = {input_dim}"),
+                     encoding="utf-8")
+    return other
+
+
+@pytest.mark.parametrize("classes, input_dim, words", [
+    (5, 12, ("rows 12 wide", "input_dim is 8")),
+    (5, 8, ("label 4", "classes is 4")),
+], ids=["width", "labels"])
+def test_dataset_of_another_config_exit_code(tiny, tmp_path, capsys, classes, input_dim,
+                                             words):
+    """A dataset synthesized under another config, whose rows are not this
+    config's input_dim wide or whose labels reach its class count, is
+    malformed; the message names the file and both numbers."""
+    cfg, out = tiny
+    assert run(_other_config(tmp_path, classes, input_dim), out, "synth-data") == 0
+    assert run(cfg, out, "train-source") == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(out / cli.DATA_TRAIN) in err
+    for word in words:
+        assert word in err, word
+    assert not (out / cli.MODEL_M0).exists()
+
+
+def test_prune_under_another_config_exit_code(tiny, tmp_path, capsys):
+    """prune under this config, on a dataset and m0 built under another, is
+    refused before it writes an mp.lpmd pruned at this config's fraction."""
+    cfg, out = tiny
+    other = _other_config(tmp_path, 5, 12)
+    for argv in [("synth-data",), ("train-source",)]:
+        assert run(other, out, *argv) == 0
+    assert run(cfg, out, "prune") == cli.EXIT_FORMAT
+    assert str(out / cli.DATA_TRAIN) in capsys.readouterr().err
+    assert not (out / cli.MODEL_MP).exists()
+
+
+def test_stream_of_another_width_exit_code(tiny, tmp_path, capsys):
+    """--stream naming a file of another width is malformed, and the message
+    names the file and both widths."""
+    cfg, out = tiny
+    for argv in [("synth-data",), ("train-source",)]:
+        assert run(cfg, out, *argv) == 0
+    narrow = tmp_path / "narrow.lpac"
+    formats.save_activations(narrow, ActivationBatch(
+        formats.load_activations(out / cli.DATA_VAL).features[:4, :7]))
+    assert run(cfg, out, "estimate-domain", "--stream", str(narrow)) == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(narrow) in err and "rows 7 wide" in err and "input_dim is 8" in err
+    assert not (out / cli.DOMAIN).exists()
+
+
 def test_stream_that_is_a_directory_exit_code(tiny, tmp_path, capsys):
     """--stream naming a directory is a missing input file, named in the
     message."""
@@ -476,3 +531,16 @@ def test_run_all_trains_each_seed_group_in_one_call(tiny, tmp_path, training_cal
     assert run(two, out, "run-all") == 0
     assert sum(training_calls) == 24
     assert len(training_calls) == 13
+
+
+def test_readme_names_every_command_exit_code_and_section():
+    """The README names every subcommand, lists every category exit code in
+    its exit-code paragraph, and names every config section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in cli.COMMANDS:
+        assert f"loco-pda {name} " in readme, name
+    exit_codes = " ".join(readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0].split())
+    for _, code in cli._ERROR_CODES:
+        assert f"`{code}` " in exit_codes, code
+    for section in config._SECTIONS:
+        assert f"[{section}]" in readme, section

@@ -13,7 +13,6 @@ from loco_pda.adaptation import (
     AdaptationConfig,
     ClassDistribution,
     LabelMode,
-    ModelPredictions,
     NoiseComparison,
     SyntheticFlip,
     adapt_classifier,
@@ -252,9 +251,10 @@ def test_drivers_reject_empty_seeds(pipe0, uncond_pack_for):
 
 
 def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
-    """One scenario through the matrix, the sweep and the label-noise
-    experiment extracts the stream's activations once and runs the deployed
-    model over the stream once; every cached array refuses writes."""
+    """One scenario through the matrix, the sweep, the label-noise experiment
+    and the matrix's estimated cells again, on a new seed, extracts the
+    stream's activations once and runs the deployed model over the stream
+    once; every cached array refuses writes."""
     classes = (0, 1, 2)
     mask = np.isin(pipe0.dataset.train_y, classes)
     stream_x = pipe0.dataset.train_x[mask]
@@ -274,8 +274,11 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
     run_experiment_matrix([("main", scenario)], seeds=(0, 1), cfg=cfg,
                           baseline_hyper=QUICK_BASELINE)
     budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
-    label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
+    label_noise_experiment(scenario, SyntheticFlip(0.2), cfg=cfg,
                            baseline_hyper=QUICK_BASELINE)
+    run_experiment_matrix([("main", scenario)], seeds=(2,), cfg=cfg,
+                          methods=("loco-estimated", "baseline-estimated"),
+                          baseline_hyper=QUICK_BASELINE)
     assert seen.count(("features", pipe0.mp)) == 1
     assert seen.count(("predict", pipe0.m0)) == 1
 
@@ -290,7 +293,7 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
 
 
 def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
-    """The matrix, the sweep and the label-noise experiment on one scenario and
+    """The matrix, the sweep and the estimated-label runs on one scenario and
     seed share the ground-truth LoCO-PDA run and the unbounded ground-truth
     baseline; any argument that changes a report misses the memo, and the
     label mode, which only tags the report, does not."""
@@ -305,9 +308,8 @@ def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
     assert sum(calls) == 2
     budget_sweep(scenario, [680], seeds=(0,), cfg=cfg, baseline_hyper=QUICK_BASELINE)
     assert sum(calls) == 3          # only the 680-byte point is new
-    label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
-                           baseline_hyper=QUICK_BASELINE)
-    assert sum(calls) == 3          # the noisy labels are the true ones here
+    _estimated_runs(scenario, cfg)
+    assert sum(calls) == 3          # the predicted labels are the true ones here
 
     first, = scenario.ground_truth_adaptation(cfg, (0,))
     assert scenario.ground_truth_adaptation(replace(cfg), (0,))[0] is first
@@ -331,18 +333,28 @@ def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
         assert sum(calls) == 4 + i, i
 
 
+def _estimated_runs(scenario, cfg):
+    """The LoCO-PDA and baseline reports on the deployed model's predicted
+    labels for seed 0, asked of the Scenario directly rather than through the
+    matrix's estimated cells."""
+    preds = scenario.predictions
+    loco, = scenario.adapt(ClassDistribution.from_labels(preds, 20),
+                           replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))
+    base, = scenario.baseline(QUICK_BASELINE, (0,), labels=preds)
+    return loco, base
+
+
 def _matrix_with_predictions(pipe, preds, cfg, training_calls):
-    """The matrix and the model-predictions noise experiment of a scenario
-    whose deployed model predicts preds on the stream, the trainings they
-    ran, and the matrix rebuilt from direct adapt_classifier and
-    retrain_baseline calls."""
+    """The matrix and the direct estimated-label runs of a scenario whose
+    deployed model predicts preds on the stream, the trainings they ran, and
+    the matrix rebuilt from direct adapt_classifier and retrain_baseline
+    calls."""
     scenario = pipe.scenario((0, 1, 2))
     preds.flags.writeable = False
     scenario.predictions = preds        # set before first use, as if m0 said so
     matrix = run_experiment_matrix([("main", scenario)], seeds=(0,), cfg=cfg,
                                    baseline_hyper=QUICK_BASELINE)
-    noise = label_noise_experiment(scenario, ModelPredictions(), cfg=cfg,
-                                   baseline_hyper=QUICK_BASELINE)
+    loco_estimated, baseline_estimated = _estimated_runs(scenario, cfg)
     runs = sum(training_calls)
 
     mp, val = pipe.mp, scenario.target_val
@@ -365,8 +377,8 @@ def _matrix_with_predictions(pipe, preds, cfg, training_calls):
         MatrixCell("main", "baseline-estimated", 0, base(preds)),
     ])
     cells = {c.method: c.report for c in matrix.cells}
-    assert noise.loco_noisy == cells["loco-estimated"].post_accuracy
-    assert noise.baseline_noisy == cells["baseline-estimated"].post_accuracy
+    assert loco_estimated.post_accuracy == cells["loco-estimated"].post_accuracy
+    assert baseline_estimated.post_accuracy == cells["baseline-estimated"].post_accuracy
     return matrix, runs, direct
 
 
@@ -374,7 +386,7 @@ def test_swapped_predictions_reuse_the_pool_but_not_the_rows(pipe0, training_cal
     """Swapping the predictions of two stream rows of different classes keeps
     the class counts, so loco-estimated reuses the ground-truth run (same
     pool), and changes the labels, so baseline-estimated trains its own run;
-    the noise experiment's noisy runs are the estimated cells'."""
+    the direct estimated-label runs are the estimated cells'."""
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
     preds = pipe0.scenario((0, 1, 2)).target_stream[1].copy()
     i, j = 0, int(np.flatnonzero(preds != preds[0])[0])
@@ -389,7 +401,7 @@ def test_swapped_predictions_reuse_the_pool_but_not_the_rows(pipe0, training_cal
 
 def test_relabelled_prediction_trains_both_estimated_cells(pipe0, training_calls):
     """Relabelling one prediction changes the class counts, so both estimated
-    cells train their own runs; the noise experiment's noisy runs are theirs."""
+    cells train their own runs; the direct estimated-label runs are theirs."""
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
     stream_y = pipe0.scenario((0, 1, 2)).target_stream[1]
     preds = stream_y.copy()
