@@ -90,22 +90,19 @@ class Context:
     def read(self, load, producer: str, *names: str):
         """load(*paths) of the named input artifacts. Each must exist and, once
         loaded (so a file that does not parse fails as malformed first), match
-        the checksum its producing manifest recorded. Artifacts no manifest
-        records are not checked."""
+        the checksum that manifest_<producer>.json recorded. An artifact that
+        manifest does not record, or a missing manifest, is not checked."""
         for name in names:
             if not self.path(name).exists():
                 raise MissingInputError(
                     f"{name} not found in {self.out}; run `loco-pda {producer}` first"
                 )
         result = load(*map(self.path, names))
-        recorded: dict[str, str] = {}
-        for mpath in sorted(self.out.glob("manifest_*.json")):
-            recorded.update(_read_json(mpath, "artifacts", _is_digest_map)["artifacts"])
-        for name in names:
-            want = recorded.get(name)
-            if want is None:
-                continue
-            got = _sha256(self.path(name))
+        manifest = self.path(f"manifest_{producer}.json")
+        recorded = (_read_json(manifest, "artifacts", _is_digest_map)["artifacts"]
+                    if manifest.exists() else {})
+        for name in [n for n in names if n in recorded]:
+            want, got = recorded[name], _sha256(self.path(name))
             if got != want:
                 raise ChecksumError(
                     f"{name} does not match its manifest checksum "

@@ -18,18 +18,18 @@ from .errors import DivergenceError, LabelError, ShapeError
 from .models import ActivationBatch
 from .numerics import (
     F32,
-    Activation,
     Adam,
     DenseLayer,
     FlatParams,
     LrSchedule,
+    check_chain,
     check_finite,
     derive_rng,
     mse_loss,
     one_hot,
+    relu_stack,
     stack_backward,
     stack_forward,
-    stack_params,
     stage_key,
 )
 
@@ -105,6 +105,8 @@ class CvaeModel:
         if encoder[0].in_dim != self.a_dim + self.num_classes:
             raise ShapeError(f"encoder input {encoder[0].in_dim} != activation "
                              f"{self.a_dim} + classes {self.num_classes}")
+        check_chain(encoder, "encoder")
+        check_chain(decoder, "decoder")
         self.encoder = encoder
         self.decoder = decoder
 
@@ -113,35 +115,23 @@ class CvaeModel:
                z_dim: int = DEFAULT_Z_DIM,
                enc_widths: tuple[int, ...] = DEFAULT_ENC_WIDTHS,
                dec_widths: tuple[int, ...] = DEFAULT_DEC_WIDTHS) -> "CvaeModel":
-        encoder = []
-        in_dim = a_dim + num_classes
-        for w in enc_widths:
-            encoder.append(DenseLayer.create(rng, in_dim, w, Activation.RELU))
-            in_dim = w
-        head = DenseLayer.create(rng, in_dim, 2 * z_dim, Activation.IDENTITY)
+        encoder = relu_stack(rng, a_dim + num_classes, enc_widths, 2 * z_dim)
         # Start the latent head near zero: mu ~ 0 and log-variance ~ 0 make early
         # z draws pure N(0, I) noise, so the decoder has to lean on the class
         # input before the latent channel gains signal. Required together with
         # CLASS_INPUT_GAIN; with a full-scale head the boosted columns blow up
         # the early latents instead.
-        head.weight *= F32(0.01)
-        encoder.append(head)
+        encoder[-1].weight *= F32(0.01)
         if num_classes > 0:
             encoder[0].weight[:, a_dim:] *= F32(CLASS_INPUT_GAIN)
-        decoder = []
-        in_dim = z_dim + num_classes
-        for w in dec_widths:
-            decoder.append(DenseLayer.create(rng, in_dim, w, Activation.RELU))
-            in_dim = w
-        decoder.append(DenseLayer.create(rng, in_dim, a_dim, Activation.IDENTITY))
+        decoder = relu_stack(rng, z_dim + num_classes, dec_widths, a_dim)
         if num_classes > 0:
             decoder[0].weight[:, z_dim:] *= F32(CLASS_INPUT_GAIN)
         return cls(encoder, decoder)
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        params = stack_params(self.encoder, prefix="enc")
-        params.update(stack_params(self.decoder, prefix="dec"))
-        return params
+    @property
+    def layers(self) -> list[DenseLayer]:
+        return self.encoder + self.decoder
 
     def onehot(self, labels: np.ndarray | None) -> np.ndarray | None:
         """The conditioning input for labels: None for an unconditional model,
@@ -223,7 +213,7 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
     """
     n = feats.shape[0]
     onehot = model.onehot(labels)
-    flat = FlatParams(model.encoder + model.decoder)
+    flat = FlatParams(model.layers)
     optimizer = Adam(LrSchedule(hyper.lr, hyper.lr_step_epochs, hyper.lr_gamma))
     shuffle_rng = derive_rng(seed, *stream, stage_key("vae-shuffle"))
     noise_rng = derive_rng(seed, *stream, stage_key("vae-noise"))
@@ -323,9 +313,10 @@ class UncondVaePack:
     def a_dim(self) -> int:
         return self.vaes[0].a_dim
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        return {f"vae{c}.{name}": p for c, vae in enumerate(self.vaes)
-                for name, p in vae.named_params().items()}
+    @property
+    def layers(self) -> list[DenseLayer]:
+        """Every member's layers, in class order."""
+        return [layer for vae in self.vaes for layer in vae.layers]
 
 
 def train_uncond_pack(batch: ActivationBatch, num_classes: int,

@@ -21,12 +21,13 @@ from .numerics import (
     FlatParams,
     LrSchedule,
     SgdMomentum,
+    check_chain,
     check_finite,
     derive_rng,
+    relu_stack,
     softmax_xent,
     stack_backward,
     stack_forward,
-    stack_params,
     stage_key,
 )
 
@@ -119,9 +120,7 @@ class MlpModel:
     def __init__(self, layers: list[DenseLayer], prune_fraction: float = 0.0):
         if layers[-1].activation != Activation.IDENTITY:
             raise ShapeError("classifier layer must have identity activation")
-        for a, b in zip(layers, layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ShapeError(f"layer widths do not chain: {a.out_dim} -> {b.in_dim}")
+        check_chain(layers)
         self.layers = layers
         self.prune_fraction = prune_fraction
 
@@ -150,9 +149,6 @@ class MlpModel:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.forward(x), axis=-1)
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        return stack_params(self.layers)
-
 
 def extract_activations(model: MlpModel, inputs: np.ndarray,
                         labels: np.ndarray | None = None) -> ActivationBatch:
@@ -163,7 +159,7 @@ def extract_activations(model: MlpModel, inputs: np.ndarray,
 
 def model_memory_bytes(model) -> int:
     """Exact f32 storage of every weight and bias: 4 bytes per parameter."""
-    return 4 * sum(p.size for p in model.named_params().values())
+    return 4 * sum(layer.weight.size + layer.bias.size for layer in model.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +269,7 @@ DEFAULT_SOURCE_HYPER = TrainHyper(epochs=15, batch_size=64, lr=1e-3)
 
 def build_mlp(rng: np.random.Generator, input_dim: int, feature_widths: tuple[int, ...],
               num_classes: int) -> MlpModel:
-    layers = []
-    in_dim = input_dim
-    for width in feature_widths:
-        layers.append(DenseLayer.create(rng, in_dim, width, Activation.RELU))
-        in_dim = width
-    layers.append(DenseLayer.create(rng, in_dim, num_classes, Activation.IDENTITY))
-    return MlpModel(layers)
+    return MlpModel(relu_stack(rng, input_dim, feature_widths, num_classes))
 
 
 def train_source_model(dataset: LabeledDataset, feature_widths: tuple[int, ...] = DEFAULT_FEATURE_WIDTHS,

@@ -207,12 +207,19 @@ def stack_backward(layers: list[DenseLayer], grad_out: np.ndarray,
     return grad, per_layer
 
 
-def stack_params(layers: list[DenseLayer], prefix: str = "layer") -> dict[str, np.ndarray]:
-    out = {}
-    for i, layer in enumerate(layers):
-        out[f"{prefix}{i}.w"] = layer.weight
-        out[f"{prefix}{i}.b"] = layer.bias
-    return out
+def relu_stack(rng: np.random.Generator, in_dim: int, widths, out_dim: int) -> list[DenseLayer]:
+    """ReLU layers of the given widths, then an identity layer to out_dim,
+    drawn from rng in that order."""
+    dims = [in_dim, *widths]
+    layers = [DenseLayer.create(rng, a, b, Activation.RELU) for a, b in zip(dims, dims[1:])]
+    return layers + [DenseLayer.create(rng, dims[-1], out_dim, Activation.IDENTITY)]
+
+
+def check_chain(layers: list[DenseLayer], what: str = "layer") -> None:
+    """ShapeError unless each layer's output is as wide as the next one's input."""
+    for a, b in zip(layers, layers[1:]):
+        if a.out_dim != b.in_dim:
+            raise ShapeError(f"{what} widths do not chain: {a.out_dim} -> {b.in_dim}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Helpers that only the tests use: a seeded RNG, a checked softmax
-cross-entropy, a finite-difference gradient checker and the name-keyed CVAE
+cross-entropy, a finite-difference gradient checker and the layer-keyed
 parameters it reads, Spearman rank correlation, a one-class distribution and
 a version-1 model file."""
 
@@ -66,18 +66,24 @@ def gradcheck(loss_fn, params: dict[str, np.ndarray], h: float = 1e-3,
     return worst
 
 
+def layer_params(model) -> dict[str, np.ndarray]:
+    """A model's weights and biases keyed by their index in model.layers:
+    "0.w", "0.b", "1.w", ..."""
+    return {f"{i}.{part}": p for i, layer in enumerate(model.layers)
+            for part, p in (("w", layer.weight), ("b", layer.bias))}
+
+
 def set_cvae_params(model, params: dict[str, np.ndarray]) -> None:
-    """Rebind a CVAE's layers to the arrays of a dict keyed like its
-    named_params, e.g. gradcheck's float64 copies."""
-    for prefix, layers in (("enc", model.encoder), ("dec", model.decoder)):
-        for i, layer in enumerate(layers):
-            layer.weight, layer.bias = params[f"{prefix}{i}.w"], params[f"{prefix}{i}.b"]
+    """Rebind a CVAE's layers to the arrays of a dict keyed like
+    layer_params, e.g. gradcheck's float64 copies."""
+    for i, layer in enumerate(model.layers):
+        layer.weight, layer.bias = params[f"{i}.w"], params[f"{i}.b"]
 
 
 def named_grads(model, grads) -> dict[str, np.ndarray]:
     """loss_and_grads' per-layer (grad_w, grad_b) pairs, encoder first, keyed
-    like the model's named_params."""
-    return dict(zip(model.named_params(), (g for pair in grads for g in pair)))
+    like layer_params."""
+    return dict(zip(layer_params(model), (g for pair in grads for g in pair)))
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

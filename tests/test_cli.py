@@ -192,6 +192,22 @@ def test_malformed_manifest_exit_code(tiny, capsys, rewrite):
     assert "manifest_train-source.json" in capsys.readouterr().err
 
 
+def test_a_read_checks_only_its_producers_manifest(tiny, capsys):
+    """An artifact is checked against the manifest of the command that wrote
+    it, and no other: a truncated manifest_train-cvae.json does not stop
+    prune, which reads nothing train-cvae wrote, but adapt, which reads the
+    CVAE, reports it as malformed."""
+    cfg, out = tiny
+    for argv in STAGE_CHAIN[:5]:  # synth-data through train-cvae
+        assert run(cfg, out, *argv) == 0
+    manifest = out / "manifest_train-cvae.json"
+    manifest.write_text(manifest.read_text()[:40], encoding="utf-8")
+    assert run(cfg, out, "prune") == 0
+    capsys.readouterr()
+    assert run(cfg, out, "adapt") == cli.EXIT_FORMAT
+    assert "manifest_train-cvae.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     '{"support": [0, 1]}', "[1, 2]",
     '{"probs": [0.25, 0.25, 0.5]}', '{"probs": [0.2, 0.2, 0.2, 0.2, 0.2]}',

@@ -16,6 +16,7 @@ from loco_pda.cvae import (
     BetaSchedule,
     CvaeHyper,
     CvaeModel,
+    UncondVaePack,
     align_latent,
     fit_vae,
     generate_activations,
@@ -28,14 +29,16 @@ from loco_pda.models import (
     ActivationBatch,
     DatasetSpec,
     TrainHyper,
+    build_mlp,
     extract_activations,
+    model_memory_bytes,
     prune_model,
     synth_dataset,
     train_source_model,
 )
 from loco_pda.numerics import Activation, DenseLayer, derive_rng, one_hot, stage_key
 
-from helpers import gradcheck, make_rng, named_grads, set_cvae_params
+from helpers import gradcheck, layer_params, make_rng, named_grads, set_cvae_params
 
 
 # --- KL divergence ---
@@ -171,6 +174,52 @@ def test_constructor_rejects_inconsistent_layers():
         CvaeModel(m.encoder, short_dec)
 
 
+@pytest.mark.parametrize("stack", ["encoder", "decoder"])
+def test_constructor_rejects_a_stack_whose_widths_do_not_chain(stack):
+    """A width break inside a stack is refused when the model is built, not
+    at its first encode or decode."""
+    m = _tiny_model()
+    stacks = {"encoder": m.encoder, "decoder": m.decoder}
+    head = stacks[stack][-1]
+    # the head takes one input fewer than the layer before it gives
+    stacks[stack] = [stacks[stack][0],
+                     DenseLayer.create(make_rng(1), head.in_dim - 1, head.out_dim,
+                                       Activation.IDENTITY)]
+    with pytest.raises(ShapeError, match=f"{stack} widths do not chain"):
+        CvaeModel(**stacks)
+
+
+def _parameter_arrays(layers):
+    return [p for layer in layers for p in (layer.weight, layer.bias)]
+
+
+@pytest.mark.parametrize("kind, count", [
+    # (4*6+6) + (6*5+5) + (5*3+3)
+    ("mlp", 83),
+    # encoder (7*8+8) + (8*4+4), decoder (5*6+6) + (6*4+4)
+    ("cvae", 164),
+    # 3 members: encoder (4*8+8) + (8*4+4), decoder (2*6+6) + (6*4+4)
+    ("pack", 3 * 122),
+])
+def test_layers_hold_every_parameter_once(kind, count):
+    """model.layers is the one list of a model's parameters: it holds each
+    weight and bias array once, and model_memory_bytes counts from it."""
+    if kind == "mlp":
+        model = build_mlp(make_rng(0), 4, (6, 5), 3)
+        stacks = [model.fe_layers, [model.fc_layer]]
+    elif kind == "cvae":
+        model = _tiny_model()
+        stacks = [model.encoder, model.decoder]
+    else:
+        model = UncondVaePack([_tiny_model(num_classes=0) for _ in range(3)])
+        stacks = [s for vae in model.vaes for s in (vae.encoder, vae.decoder)]
+    arrays = _parameter_arrays(model.layers)
+    assert [id(a) for a in arrays] == [id(a) for s in stacks for a in _parameter_arrays(s)]
+    assert len({id(a) for a in arrays}) == len(arrays)
+    assert sum(a.size for a in arrays) == count
+    assert model_memory_bytes(model) == 4 * count
+
+
 def test_composed_loss_gradients_with_frozen_noise(rng):
     """Everything through one loss call: encoder, reparameterized latent,
     decoder, MSE plus KL, at a beta between the schedule's endpoints."""
@@ -185,7 +234,7 @@ def test_composed_loss_gradients_with_frozen_noise(rng):
         loss, grads, _, _ = m.loss_and_grads(acts, onehot, noise, beta=0.7)
         return loss, named_grads(m, grads)
 
-    assert gradcheck(fn, model.named_params()) < 1e-3
+    assert gradcheck(fn, layer_params(model)) < 1e-3
 
 
 def test_loss_beta_zero_is_pure_reconstruction(rng):
@@ -237,7 +286,7 @@ def test_fit_is_deterministic_per_seed():
     for _ in range(2):
         model, _ = train_cvae(acts, 2, hyper=CvaeHyper(epochs=5), seed=9,
                               z_dim=2, enc_widths=(8,), dec_widths=(6,))
-        results.append(model.named_params())
+        results.append(layer_params(model))
     for key in results[0]:
         np.testing.assert_array_equal(results[0][key], results[1][key])
 

@@ -5,6 +5,7 @@ gradients."""
 from __future__ import annotations
 
 import ast
+import hashlib
 import re
 import sys
 from pathlib import Path
@@ -19,7 +20,14 @@ from loco_pda.errors import (
     ShapeError,
     StateError,
 )
-from loco_pda.cvae import DEFAULT_DEC_WIDTHS, DEFAULT_ENC_WIDTHS, CvaeModel
+from loco_pda.cvae import (
+    DEFAULT_DEC_WIDTHS,
+    DEFAULT_ENC_WIDTHS,
+    UNCOND_DEC_WIDTHS,
+    UNCOND_ENC_WIDTHS,
+    UNCOND_Z_DIM,
+    CvaeModel,
+)
 from loco_pda.models import DEFAULT_FEATURE_WIDTHS, build_mlp
 from loco_pda.numerics import (
     BLOCK_BYTES,
@@ -29,9 +37,11 @@ from loco_pda.numerics import (
     FlatParams,
     LrSchedule,
     SgdMomentum,
+    check_chain,
     derive_rng,
     mse_loss,
     one_hot,
+    relu_stack,
     stack_backward,
     stack_forward,
     stage_key,
@@ -200,6 +210,54 @@ def test_stack_backward_matches_finite_difference(rng):
     err = gradcheck(fn, {"w0": l0.weight, "b0": l0.bias,
                          "w1": l1.weight, "b1": l1.bias})
     assert err < 1e-3
+
+
+# --- building layer stacks ---
+
+
+def test_relu_stack_widths_and_activations():
+    layers = relu_stack(make_rng(0), 5, (8, 6), 3)
+    assert [(layer.in_dim, layer.out_dim) for layer in layers] == [(5, 8), (8, 6), (6, 3)]
+    assert [layer.activation for layer in layers] == [
+        Activation.RELU, Activation.RELU, Activation.IDENTITY]
+    assert [(layer.in_dim, layer.out_dim) for layer in relu_stack(make_rng(0), 5, (), 3)] \
+        == [(5, 3)]
+
+
+def test_check_chain_names_the_break():
+    rng = make_rng(0)
+    broken = [DenseLayer.create(rng, 4, 8, Activation.RELU),
+              DenseLayer.create(rng, 7, 2, Activation.IDENTITY)]
+    with pytest.raises(ShapeError, match="encoder widths do not chain: 8 -> 7"):
+        check_chain(broken, "encoder")
+    check_chain(relu_stack(rng, 4, (8, 7), 2))
+
+
+# sha256 of every initial weight and bias, in layer order, as each model
+# drew them before relu_stack built its stacks
+INITIAL_WEIGHTS_SHA256 = {
+    "mlp": "5c2df923c3e03ae6f8ca7f7b3ff3366eb4278547c3bdca0d5d12fbe675b74fb9",
+    "cvae": "5b7f4fc6b97d929a713d9c9d97664abe3f9ef1df7ec5b79b937877aba67f310c",
+    "uncond": "9bf193cd1d3cb51f70374b29b86551fd8b8a3b1cd8d1ec0d37d1c46e5438371f",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INITIAL_WEIGHTS_SHA256))
+def test_initial_weights_keep_their_bits(kind):
+    """relu_stack draws its layers from rng in order, so the default
+    classifier, CVAE and pack member start from the bits they always did."""
+    if kind == "mlp":
+        model = build_mlp(derive_rng(7, 1), 32, DEFAULT_FEATURE_WIDTHS, 20)
+    elif kind == "cvae":
+        model = CvaeModel.create(derive_rng(7, 2), 16, 20)
+    else:
+        model = CvaeModel.create(derive_rng(7, 3), 16, 0, UNCOND_Z_DIM,
+                                 UNCOND_ENC_WIDTHS, UNCOND_DEC_WIDTHS)
+    digest = hashlib.sha256()
+    for layer in model.layers:
+        digest.update(layer.weight.tobytes())
+        digest.update(layer.bias.tobytes())
+    assert digest.hexdigest() == INITIAL_WEIGHTS_SHA256[kind]
 
 
 def test_lr_schedule_step_decay():
@@ -481,7 +539,7 @@ def _cvae_stacks(widths="default"):
     rng = derive_rng(14, 1)
     enc_widths, dec_widths = CVAE_WIDTHS[widths]
     model = CvaeModel.create(rng, 16, 20, enc_widths=enc_widths, dec_widths=dec_widths)
-    for layer in model.encoder + model.decoder:
+    for layer in model.layers:
         layer.bias[:] = rng.standard_normal(layer.bias.shape).astype(np.float32)
     return {"encoder": model.encoder, "decoder": model.decoder}
 
