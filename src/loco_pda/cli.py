@@ -14,6 +14,8 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import asdict
 from functools import cached_property, partial
@@ -32,6 +34,7 @@ from .errors import (
     LocoError,
     MissingInputError,
     NumericError,
+    ShapeError,
 )
 
 # artifact names inside the output directory
@@ -188,8 +191,9 @@ def _read_inputs(path: Path, cfg: PipelineConfig) -> models.ActivationBatch:
 
 
 def _load_dataset(ctx: Context) -> models.LabeledDataset:
-    load = partial(_read_inputs, cfg=ctx.cfg)
-    train, val = (ctx.read(load, "synth-data", name) for name in (DATA_TRAIN, DATA_VAL))
+    def load(*paths):
+        return [_read_inputs(path, ctx.cfg) for path in paths]
+    train, val = ctx.read(load, "synth-data", DATA_TRAIN, DATA_VAL)
     for name, split in ((DATA_TRAIN, train), (DATA_VAL, val)):
         if split.labels is None:
             raise FormatError(f"{ctx.path(name)}: dataset files must carry labels")
@@ -211,10 +215,18 @@ def _load_cvae(ctx: Context) -> cvae.CvaeModel:
 
 
 def _load_pack(ctx: Context) -> cvae.UncondVaePack:
-    return cvae.UncondVaePack([
-        ctx.read(formats.load_cvae, "train-uncond", uncond_enc_name(c), uncond_dec_name(c))
-        for c in range(ctx.cfg.classes)
-    ])
+    names = [name for c in range(ctx.cfg.classes)
+             for name in (uncond_enc_name(c), uncond_dec_name(c))]
+    return ctx.read(_read_pack, "train-uncond", *names)
+
+
+def _read_pack(*paths: Path) -> cvae.UncondVaePack:
+    """The pack whose members' encoder and decoder files paths lists in pairs."""
+    members = [formats.load_cvae(enc, dec) for enc, dec in zip(paths[::2], paths[1::2])]
+    try:
+        return cvae.UncondVaePack(members)
+    except ShapeError as exc:
+        raise FormatError(f"{paths[0]} … {paths[-1]} do not form one pack: {exc}") from exc
 
 
 def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch:
@@ -428,12 +440,94 @@ def cmd_memory_report(ctx: Context, args) -> list[str]:
     return [MEMORY]
 
 
+def _can_fork() -> bool:
+    """Whether a stage can run in a forked child beside the parent's and gain:
+    on Linux, from a single-threaded process (a fork copies only the calling
+    thread, so a lock that another thread holds, a BLAS pool's say, stays held
+    in the child), with a second CPU for the child to run on."""
+    if sys.platform != "linux":
+        return False
+    try:
+        return (len(os.listdir("/proc/self/task")) == 1
+                and len(os.sched_getaffinity(0)) >= 2)
+    except OSError:  # no /proc mounted
+        return False
+
+
+class _ForkedStage:
+    """A stage command running in a forked child. The child sends back its
+    return value or exception, pickled, through a pipe and leaves with
+    os._exit, so none of the parent's exit handlers or buffered output runs
+    twice; join() or kill() reaps it."""
+
+    def __init__(self, name: str, ctx: Context, args):
+        self.name = name
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                try:
+                    result = (True, COMMANDS[name](ctx, args))
+                except BaseException as exc:
+                    result = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps(result))
+                status = 0
+            except BaseException:  # the result did not pickle or send
+                import traceback
+                traceback.print_exc()
+                sys.stderr.flush()
+            finally:  # the child never returns into the parent's frames
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def join(self) -> list[str]:
+        """The stage's written names, or its exception raised here."""
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not data:
+            raise ChildProcessError(
+                f"{self.name}: the forked child ended with exit status "
+                f"{os.waitstatus_to_exitcode(status)} before sending its result")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """Stop and reap the child, unless join() already has."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            self.pipe.close()
+
+
 def cmd_run_all(ctx: Context, args) -> list[str]:
     # each stage as its own command would run with `--labels estimated`
     stage_args = argparse.Namespace(stream=None, labels="estimated", budget=None)
-    for name, fn in COMMANDS.items():
-        if name != "run-all":
-            _write_manifest(ctx, name, fn(ctx, stage_args))
+    # train-uncond and train-cvae read only dump-activations' output, so where
+    # a second CPU is free the pack trains in a child beside the CVAE
+    forked = None
+    try:
+        for name, fn in COMMANDS.items():
+            if name == "run-all":
+                continue
+            if name == "train-cvae" and _can_fork():
+                forked = _ForkedStage("train-uncond", ctx, stage_args)
+            if name == "train-uncond" and forked is not None:
+                written = forked.join()
+            else:
+                written = fn(ctx, stage_args)
+            _write_manifest(ctx, name, written)
+    finally:
+        if forked is not None:
+            forked.kill()
     scenarios = [("classes-" + "-".join(str(c) for c in subset), ctx.scenario(subset))
                  for subset in [ctx.cfg.target_classes, *ctx.cfg.extra_subsets]]
     matrix = evaluation.run_experiment_matrix(

@@ -305,6 +305,17 @@ class UncondVaePack:
 
     vaes: list[CvaeModel]
 
+    def __post_init__(self):
+        if not self.vaes:
+            raise ShapeError("a pack needs at least one member")
+        for i, vae in enumerate(self.vaes):
+            if vae.num_classes:
+                raise ShapeError(f"pack member {i} is conditional "
+                                 f"({vae.num_classes} classes)")
+            if vae.a_dim != self.a_dim:
+                raise ShapeError(f"pack member {i} has activation width {vae.a_dim}, "
+                                 f"member 0 has {self.a_dim}")
+
     @property
     def num_classes(self) -> int:
         return len(self.vaes)

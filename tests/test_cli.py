@@ -8,15 +8,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from loco_pda import cli, config, formats
+from loco_pda import cli, config, cvae, formats
 from loco_pda.config import PipelineConfig, load_config
+from loco_pda.cvae import CvaeModel
+from loco_pda.errors import DivergenceError, LabelError
 from loco_pda.models import ActivationBatch
 
-from helpers import mlp_v1_bytes
+from helpers import make_rng, mlp_v1_bytes
 
 TINY_CONFIG = """\
 [dataset]
@@ -547,6 +552,148 @@ def test_run_all_trains_each_seed_group_in_one_call(tiny, tmp_path, training_cal
     assert run(two, out, "run-all") == 0
     assert sum(training_calls) == 24
     assert len(training_calls) == 13
+
+
+def test_run_all_parses_each_manifest_once_per_reader(tiny, monkeypatch):
+    """The pack's files are read through one Context.read, so of run-all's
+    stages only compare-uncond and memory-report parse its manifest, once each."""
+    cfg, out = tiny
+    parsed = []
+    original = cli._read_json
+
+    def counting(path, *args):
+        parsed.append(path.name)
+        return original(path, *args)
+
+    monkeypatch.setattr(cli, "_read_json", counting)
+    assert run(cfg, out, "run-all") == 0
+    assert parsed.count("manifest_train-uncond.json") == 2
+
+
+def test_pack_of_mixed_widths_exit_code(tiny, capsys):
+    """A pack member file of another activation width is malformed input
+    (exit 4), reported with the pack's files and the member's index."""
+    cfg, out = tiny
+    for argv in STAGE_CHAIN[:6]:  # synth-data through train-uncond
+        assert run(cfg, out, *argv) == 0
+    a_dim = formats.load_cvae(out / cli.uncond_enc_name(1),
+                              out / cli.uncond_dec_name(1)).a_dim
+    wider = CvaeModel.create(make_rng(0), a_dim + 1, 0, z_dim=2,
+                             enc_widths=(8,), dec_widths=(8,))
+    formats.save_cvae(out / cli.uncond_enc_name(1), out / cli.uncond_dec_name(1), wider)
+    capsys.readouterr()
+    assert run(cfg, out, "memory-report") == cli.EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert cli.uncond_enc_name(0) in err and "member 1 has activation width" in err
+
+
+def _fork_skip_reason() -> str | None:
+    """Why run-all cannot fork here, or None where it does."""
+    if sys.platform != "linux":
+        return f"run-all forks only on Linux, not {sys.platform}"
+    threads = len(os.listdir("/proc/self/task"))
+    if threads > 1:
+        return (f"the test process runs {threads} threads (an unpinned BLAS pool?); "
+                "run-all forks only from a single-threaded process")
+    if len(os.sched_getaffinity(0)) < 2:
+        return "run-all forks only with a second CPU to run on"
+    return None
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _record_pack_pid(monkeypatch, path):
+    """Patch cvae.train_uncond_pack to write the pid it runs in to path."""
+    original = cvae.train_uncond_pack
+
+    def recording(*args, **kwargs):
+        path.write_text(str(os.getpid()), encoding="utf-8")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cvae, "train_uncond_pack", recording)
+
+
+def test_run_all_trains_the_pack_in_a_forked_child(tiny, tmp_path, monkeypatch):
+    reason = _fork_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    cfg, out = tiny
+    pid_file = tmp_path / "pack.pid"
+    _record_pack_pid(monkeypatch, pid_file)
+    assert run(cfg, out, "run-all") == 0
+    assert int(pid_file.read_text()) != os.getpid()
+    _assert_no_child_left()
+
+
+def test_run_all_in_a_threaded_process_trains_in_order_to_the_same_bytes(
+        tiny, tmp_path, monkeypatch):
+    """A second thread makes the process unsafe to fork, so the pack trains in
+    this process; every file under --out is what the forking run writes."""
+    cfg, _ = tiny
+    forking, ordered = tmp_path / "forking", tmp_path / "ordered"
+    assert run(cfg, forking, "run-all") == 0
+    pid_file = tmp_path / "pack.pid"
+    _record_pack_pid(monkeypatch, pid_file)
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)
+    helper.start()
+    try:
+        assert run(cfg, ordered, "run-all") == 0
+    finally:
+        release.set()
+        helper.join(timeout=10)
+    assert not helper.is_alive()
+    assert int(pid_file.read_text()) == os.getpid()
+    names = sorted(p.name for p in forking.iterdir())
+    assert names == sorted(p.name for p in ordered.iterdir())
+    for name in names:
+        assert (forking / name).read_bytes() == (ordered / name).read_bytes(), name
+    _assert_no_child_left()
+
+
+def test_run_all_pack_divergence_exit_code(tiny, monkeypatch, capsys):
+    cfg, out = tiny
+
+    def diverging(*args, **kwargs):
+        raise DivergenceError("pack loss went non-finite")
+
+    monkeypatch.setattr(cvae, "train_uncond_pack", diverging)
+    assert run(cfg, out, "run-all") == cli.EXIT_NUMERIC
+    assert "pack loss went non-finite" in capsys.readouterr().err
+    assert (out / "manifest_train-cvae.json").exists()
+    assert not (out / "manifest_train-uncond.json").exists()
+    _assert_no_child_left()
+
+
+def test_run_all_reports_the_cvae_error_over_the_packs(tiny, monkeypatch, capsys):
+    cfg, out = tiny
+
+    def bad_labels(*args, **kwargs):
+        raise LabelError("cvae batch labels out of range")
+
+    def diverging(*args, **kwargs):
+        raise DivergenceError("pack loss went non-finite")
+
+    monkeypatch.setattr(cvae, "train_cvae", bad_labels)
+    monkeypatch.setattr(cvae, "train_uncond_pack", diverging)
+    assert run(cfg, out, "run-all") == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "cvae batch labels out of range" in err and "pack loss" not in err
+    _assert_no_child_left()
+
+
+def test_run_all_names_a_child_that_ends_without_a_result(tiny, monkeypatch):
+    reason = _fork_skip_reason()
+    if reason:
+        pytest.skip(reason)  # in order, os._exit would end this process
+    cfg, out = tiny
+    monkeypatch.setattr(cvae, "train_uncond_pack", lambda *args, **kwargs: os._exit(3))
+    with pytest.raises(ChildProcessError, match="train-uncond: .* exit status 3"):
+        run(cfg, out, "run-all")
+    _assert_no_child_left()
 
 
 def test_readme_names_every_command_exit_code_and_section():

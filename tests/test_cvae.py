@@ -174,6 +174,25 @@ def test_constructor_rejects_inconsistent_layers():
         CvaeModel(m.encoder, short_dec)
 
 
+def test_pack_refuses_an_empty_member_list():
+    with pytest.raises(ShapeError, match="at least one member"):
+        UncondVaePack([])
+
+
+def test_pack_refuses_a_conditional_member():
+    members = [_tiny_model(num_classes=0), _tiny_model(num_classes=3)]
+    with pytest.raises(ShapeError, match="member 1 is conditional"):
+        UncondVaePack(members)
+
+
+def test_pack_refuses_members_of_another_activation_width():
+    wider = CvaeModel.create(make_rng(0), a_dim=5, num_classes=0, z_dim=2,
+                             enc_widths=(8,), dec_widths=(6,))
+    members = [_tiny_model(num_classes=0), _tiny_model(num_classes=0), wider]
+    with pytest.raises(ShapeError, match="member 2 has activation width 5, member 0 has 4"):
+        UncondVaePack(members)
+
+
 @pytest.mark.parametrize("stack", ["encoder", "decoder"])
 def test_constructor_rejects_a_stack_whose_widths_do_not_chain(stack):
     """A width break inside a stack is refused when the model is built, not
