@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import signal
 import sys
 from dataclasses import asdict
@@ -454,80 +453,47 @@ def _can_fork() -> bool:
         return False
 
 
-class _ForkedStage:
-    """A stage command running in a forked child. The child sends back its
-    return value or exception, pickled, through a pipe and leaves with
-    os._exit, so none of the parent's exit handlers or buffered output runs
-    twice; join() or kill() reaps it."""
-
-    def __init__(self, name: str, ctx: Context, args):
-        self.name = name
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_fd)
-                try:
-                    result = (True, COMMANDS[name](ctx, args))
-                except BaseException as exc:
-                    result = (False, exc)
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps(result))
-                status = 0
-            except BaseException:  # the result did not pickle or send
-                import traceback
-                traceback.print_exc()
-                sys.stderr.flush()
-            finally:  # the child never returns into the parent's frames
-                os._exit(status)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-
-    def join(self) -> list[str]:
-        """The stage's written names, or its exception raised here."""
-        with self.pipe:
-            data = self.pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if not data:
-            raise ChildProcessError(
-                f"{self.name}: the forked child ended with exit status "
-                f"{os.waitstatus_to_exitcode(status)} before sending its result")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-
-    def kill(self) -> None:
-        """Stop and reap the child, unless join() already has."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-            self.pipe.close()
+def _run_stage(ctx: Context, name: str, args) -> list[str]:
+    """Run the named command and write its manifest; the names it wrote."""
+    written = COMMANDS[name](ctx, args)
+    _write_manifest(ctx, name, written)
+    return written
 
 
 def cmd_run_all(ctx: Context, args) -> list[str]:
     # each stage as its own command would run with `--labels estimated`
     stage_args = argparse.Namespace(stream=None, labels="estimated", budget=None)
     # train-uncond and train-cvae read only dump-activations' output, so where
-    # a second CPU is free the pack trains in a child beside the CVAE
-    forked = None
+    # a second CPU is free the pack trains in a child beside the CVAE. The
+    # child reports by its exit status only; a child that fails leaves the
+    # stage to run again here, in order, so any error is the in-order run's.
+    child = None
     try:
-        for name, fn in COMMANDS.items():
+        for name in COMMANDS:
             if name == "run-all":
                 continue
             if name == "train-cvae" and _can_fork():
-                forked = _ForkedStage("train-uncond", ctx, stage_args)
-            if name == "train-uncond" and forked is not None:
-                written = forked.join()
-            else:
-                written = fn(ctx, stage_args)
-            _write_manifest(ctx, name, written)
+                child = os.fork()
+                if child == 0:
+                    # os._exit: the child never returns into the parent's
+                    # frames, nor runs its exit handlers or flushes its
+                    # buffered output a second time
+                    status = 1
+                    try:
+                        _run_stage(ctx, "train-uncond", stage_args)
+                        status = 0
+                    finally:
+                        os._exit(status)
+            if name == "train-uncond" and child is not None:
+                _, status = os.waitpid(child, 0)
+                child = None
+                if status == 0:
+                    continue
+            _run_stage(ctx, name, stage_args)
     finally:
-        if forked is not None:
-            forked.kill()
+        if child is not None:
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
     scenarios = [("classes-" + "-".join(str(c) for c in subset), ctx.scenario(subset))
                  for subset in [ctx.cfg.target_classes, *ctx.cfg.extra_subsets]]
     matrix = evaluation.run_experiment_matrix(
@@ -619,8 +585,12 @@ def main(argv=None) -> int:
         except OSError as exc:  # a file in the way, or no permission
             raise LocoError(f"--out {out} cannot be made a directory: {exc}") from exc
         ctx = Context(cfg, args.seed, out)
-        written = COMMANDS[args.command](ctx, args)
-        _write_manifest(ctx, args.command, written)
+        try:
+            written = _run_stage(ctx, args.command, args)
+        except OSError as exc:  # a directory in an artifact's place, say
+            if exc.filename is None:  # not about a file: an internal fault
+                raise
+            raise LocoError(f"{exc.filename}: {exc.strerror}") from exc
         for name in written:
             print(f"wrote {ctx.path(name)}")
         return 0

@@ -451,6 +451,24 @@ def test_out_that_is_a_file_exit_code(tiny, tmp_path, capsys):
     assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("before, name, command", [
+    (0, cli.DATA_TRAIN, "synth-data"),  # an artifact the command writes
+    (2, cli.MODEL_M0, "prune"),  # an input artifact
+    (2, "manifest_train-source.json", "prune"),  # the input's manifest
+])
+def test_artifact_path_that_is_a_directory_exit_code(tiny, capsys, before, name, command):
+    """A directory where a command reads or writes a file under --out is an
+    invalid argument, named in the message."""
+    cfg, out = tiny
+    for argv in STAGE_CHAIN[:before]:
+        assert run(cfg, out, *argv) == 0
+    path = out / name
+    path.unlink(missing_ok=True)
+    path.mkdir(parents=True)
+    assert run(cfg, out, command) == cli.EXIT_INVALID
+    assert str(path) in capsys.readouterr().err
+
+
 def test_out_dir_from_environment(tiny, tmp_path, monkeypatch):
     cfg, _ = tiny
     target = tmp_path / "env_out"
@@ -605,6 +623,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _assert_same_tree(a, b):
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def _record_pack_pid(monkeypatch, path):
     """Patch cvae.train_uncond_pack to write the pid it runs in to path."""
     original = cvae.train_uncond_pack
@@ -647,10 +672,7 @@ def test_run_all_in_a_threaded_process_trains_in_order_to_the_same_bytes(
         helper.join(timeout=10)
     assert not helper.is_alive()
     assert int(pid_file.read_text()) == os.getpid()
-    names = sorted(p.name for p in forking.iterdir())
-    assert names == sorted(p.name for p in ordered.iterdir())
-    for name in names:
-        assert (forking / name).read_bytes() == (ordered / name).read_bytes(), name
+    _assert_same_tree(forking, ordered)
     _assert_no_child_left()
 
 
@@ -685,15 +707,46 @@ def test_run_all_reports_the_cvae_error_over_the_packs(tiny, monkeypatch, capsys
     _assert_no_child_left()
 
 
-def test_run_all_names_a_child_that_ends_without_a_result(tiny, monkeypatch):
+def _exit_3():
+    os._exit(3)
+
+
+def _diverge():
+    raise DivergenceError("pack loss went non-finite")
+
+
+@pytest.mark.parametrize("fail", [_exit_3, _diverge], ids=["exit-3", "divergence"])
+def test_run_all_reruns_in_order_a_stage_whose_child_fails(tiny, tmp_path, monkeypatch,
+                                                         fail):
+    """A child that fails, by its exit status or by an exception, leaves its
+    stage to run again in this process: run-all succeeds and writes the bytes
+    a forking run writes."""
     reason = _fork_skip_reason()
     if reason:
-        pytest.skip(reason)  # in order, os._exit would end this process
-    cfg, out = tiny
-    monkeypatch.setattr(cvae, "train_uncond_pack", lambda *args, **kwargs: os._exit(3))
-    with pytest.raises(ChildProcessError, match="train-uncond: .* exit status 3"):
-        run(cfg, out, "run-all")
+        pytest.skip(reason)
+    cfg, _ = tiny
+    forking, rerun = tmp_path / "forking", tmp_path / "rerun"
+    assert run(cfg, forking, "run-all") == 0
+    child_tried, pid_file = tmp_path / "child-tried", tmp_path / "pack.pid"
+    _record_pack_pid(monkeypatch, pid_file)
+    parent, recording = os.getpid(), cvae.train_uncond_pack
+
+    def failing_in_the_child(*args, **kwargs):
+        if os.getpid() != parent:
+            child_tried.touch()
+            fail()
+        return recording(*args, **kwargs)
+
+    monkeypatch.setattr(cvae, "train_uncond_pack", failing_in_the_child)
+    assert run(cfg, rerun, "run-all") == 0
+    assert child_tried.exists()
+    assert int(pid_file.read_text()) == parent
+    _assert_same_tree(forking, rerun)
     _assert_no_child_left()
+
+
+def test_run_all_fork_skip_reason_restates_can_fork():
+    assert (_fork_skip_reason() is None) == cli._can_fork()
 
 
 def test_readme_names_every_command_exit_code_and_section():
