@@ -65,25 +65,26 @@ class ClassDistribution:
         return cls(counts / labels.size)
 
 
-def estimate_domain(m0: MlpModel, observed) -> ClassDistribution:
-    """Frequency of each argmax prediction of the deployed model.
-
-    observed may be one input matrix or an iterable of them (a stream);
-    counting is identical either way.
-    """
-    if isinstance(observed, np.ndarray):
-        observed = [observed]
-    counts = np.zeros(m0.num_classes, dtype=np.int64)
+def domain_from_predictions(predictions, num_classes: int) -> ClassDistribution:
+    """The domain estimate: the frequency of each class among the deployed
+    model's argmax predictions, given as an iterable of label arrays."""
+    counts = np.zeros(num_classes, dtype=np.int64)
     total = 0
-    for chunk in observed:
-        if chunk.shape[0] == 0:
-            continue
-        preds = m0.predict(chunk)
-        counts += np.bincount(preds, minlength=m0.num_classes)
-        total += chunk.shape[0]
+    for preds in predictions:
+        counts += np.bincount(preds, minlength=num_classes)
+        total += preds.shape[0]
     if total == 0:
         raise ValueError("empty observation stream")
     return ClassDistribution(counts / total)
+
+
+def estimate_domain(m0: MlpModel, observed) -> ClassDistribution:
+    """The domain estimate of the stream observed, which may be one input
+    matrix or an iterable of them; counting is identical either way."""
+    if isinstance(observed, np.ndarray):
+        observed = [observed]
+    return domain_from_predictions(
+        (m0.predict(chunk) for chunk in observed if chunk.shape[0]), m0.num_classes)
 
 
 def allocate_counts(dist: ClassDistribution, total: int) -> np.ndarray:
@@ -294,10 +295,19 @@ def retrain_baseline(mp: MlpModel, stored: ActivationBatch,
 # ---------------------------------------------------------------------------
 
 
-def class_rows(x: np.ndarray, y: np.ndarray, classes) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of (x, y) whose label is one of classes."""
-    mask = np.isin(y, classes)
-    return x[mask], y[mask]
+def target_split(dataset: LabeledDataset, classes):
+    """The target domain of a class subset: the stream the deployed network
+    observes (the train split's rows of those classes) and the rows it is
+    scored on (the val split's), each an (inputs, labels) pair."""
+    if not classes:
+        raise ValueError("target_classes is empty")
+    if any(c < 0 or c >= dataset.spec.num_classes for c in classes):
+        raise LabelError(f"target class outside [0, {dataset.spec.num_classes})")
+    if len(set(classes)) != len(classes):
+        raise ValueError(f"target_classes {classes} has duplicates")
+    stream, val = np.isin(dataset.train_y, classes), np.isin(dataset.val_y, classes)
+    return ((dataset.train_x[stream], dataset.train_y[stream]),
+            (dataset.val_x[val], dataset.val_y[val]))
 
 
 def _read_only(*arrays):
@@ -311,13 +321,13 @@ class Scenario:
     """Everything one adaptation experiment needs: source data, both models,
     the trained generator, and which classes the target stream contains.
 
-    target_stream (the train split's rows of those classes) and target_val
-    (the val split's) are (inputs, labels) pairs. They and the values derived
-    from the stream are computed once and shared: their arrays are read-only.
-    Each retraining is run once per distinct set of inputs that determines it
-    and its report shared, so the fields must not be reassigned after
-    construction. A request for several seeds trains all the missing ones as
-    one lockstep group.
+    target_stream and target_val are target_split's pairs. They and the
+    values derived from the stream, the deployed model's predictions and the
+    domain estimate among them, are computed once and shared: their arrays
+    are read-only. Each retraining is run once per distinct set of inputs
+    that determines it and its report shared, so the fields must not be
+    reassigned after construction. A request for several seeds trains all
+    the missing ones as one lockstep group.
     """
 
     dataset: LabeledDataset
@@ -328,15 +338,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
-        ds, classes = self.dataset, self.target_classes
-        if not classes:
-            raise ValueError("target_classes is empty")
-        if any(c < 0 or c >= ds.spec.num_classes for c in classes):
-            raise LabelError(f"target class outside [0, {ds.spec.num_classes})")
-        if len(set(classes)) != len(classes):
-            raise ValueError(f"target_classes {classes} has duplicates")
-        self.target_stream = _read_only(*class_rows(ds.train_x, ds.train_y, classes))
-        self.target_val = _read_only(*class_rows(ds.val_x, ds.val_y, classes))
+        stream, val = target_split(self.dataset, self.target_classes)
+        self.target_stream, self.target_val = _read_only(*stream), _read_only(*val)
         self._reports: dict[tuple, AdaptationReport] = {}
 
     @cached_property
@@ -356,6 +359,14 @@ class Scenario:
     def true_dist(self) -> ClassDistribution:
         dist = ClassDistribution.from_labels(self.target_stream[1],
                                              self.dataset.spec.num_classes)
+        _read_only(dist.probs)
+        return dist
+
+    @cached_property
+    def estimated_dist(self) -> ClassDistribution:
+        """The stream's domain estimate, as estimate_domain makes it, counted
+        from predictions."""
+        dist = domain_from_predictions([self.predictions], self.dataset.spec.num_classes)
         _read_only(dist.probs)
         return dist
 
@@ -418,10 +429,6 @@ class Scenario:
                           mp=self.mp, stored=self.stored, budget_bytes=budget_bytes,
                           hyper=hyper, labels=labels)
 
-    def ground_truth_adaptation(self, cfg: AdaptationConfig, seeds) -> list[AdaptationReport]:
-        """adapt on true_dist with the scenario's cvae."""
-        return self.adapt(self.true_dist, cfg, seeds)
-
 
 @dataclass(frozen=True)
 class SyntheticFlip:
@@ -481,7 +488,7 @@ def label_noise_experiment(scenario: Scenario, noise: SyntheticFlip,
     s = scenario.dataset.spec.num_classes
     noisy_y = flip_labels(scenario.target_stream[1], noise.rate, s, scenario.seed)
     seeds = (scenario.seed,)
-    loco_cert, = scenario.ground_truth_adaptation(cfg, seeds)
+    loco_cert, = scenario.adapt(scenario.true_dist, cfg, seeds)
     loco_noisy, = scenario.adapt(ClassDistribution.from_labels(noisy_y, s), cfg, seeds)
     base_cert, = scenario.baseline(baseline_hyper, seeds)
     base_noisy, = scenario.baseline(baseline_hyper, seeds, labels=noisy_y)

@@ -10,6 +10,7 @@ every command writes byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
@@ -238,8 +239,7 @@ def _load_stream(ctx: Context, stream_arg: str | None) -> models.ActivationBatch
 
 
 def _val_subset(ctx: Context):
-    ds = _load_dataset(ctx)
-    return adaptation.class_rows(ds.val_x, ds.val_y, ctx.cfg.target_classes)
+    return adaptation.target_split(_load_dataset(ctx), ctx.cfg.target_classes)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def cmd_synth_data(ctx: Context, args) -> list[str]:
                              models.ActivationBatch(ds.train_x, labels=ds.train_y))
     formats.save_activations(ctx.path(DATA_VAL),
                              models.ActivationBatch(ds.val_x, labels=ds.val_y))
-    x, y = adaptation.class_rows(ds.train_x, ds.train_y, ctx.cfg.target_classes)
+    (x, y), _ = adaptation.target_split(ds, ctx.cfg.target_classes)
     formats.save_activations(ctx.path(TARGET_STREAM), models.ActivationBatch(x, labels=y))
     return [DATA_TRAIN, DATA_VAL, TARGET_STREAM]
 
@@ -453,6 +453,17 @@ def _can_fork() -> bool:
         return False
 
 
+def _die_with(parent: int) -> None:
+    """Have the kernel SIGKILL this forked child when its parent ends, however
+    it ends. Leave at once, failed, if that cannot be arranged or the parent
+    ended before it took; a parent still there runs the stage itself."""
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    PR_SET_PDEATHSIG = 1
+    if prctl(PR_SET_PDEATHSIG, signal.SIGKILL) != 0 or os.getppid() != parent:
+        os._exit(1)
+
+
 def _run_stage(ctx: Context, name: str, args) -> list[str]:
     """Run the named command and write its manifest; the names it wrote."""
     written = COMMANDS[name](ctx, args)
@@ -473,6 +484,7 @@ def cmd_run_all(ctx: Context, args) -> list[str]:
             if name == "run-all":
                 continue
             if name == "train-cvae" and _can_fork():
+                parent = os.getpid()
                 child = os.fork()
                 if child == 0:
                     # os._exit: the child never returns into the parent's
@@ -480,6 +492,7 @@ def cmd_run_all(ctx: Context, args) -> list[str]:
                     # buffered output a second time
                     status = 1
                     try:
+                        _die_with(parent)
                         _run_stage(ctx, "train-uncond", stage_args)
                         status = 0
                     finally:

@@ -16,7 +16,6 @@ import numpy as np
 from .adaptation import (
     AdaptationConfig,
     AdaptationReport,
-    ClassDistribution,
     LabelMode,
     Scenario,
     stored_row_bytes,
@@ -190,7 +189,7 @@ def budget_sweep(scenario: Scenario, budgets: list[int], seeds=(0, 1, 2, 3, 4),
     row = stored_row_bytes(scenario.mp.activation_dim)
     no_retrain = scenario.unadapted_accuracy
     loco_mean = float(np.mean([r.post_accuracy
-                               for r in scenario.ground_truth_adaptation(cfg, seeds)]))
+                               for r in scenario.adapt(scenario.true_dist, cfg, seeds)]))
     points = []
     for budget in [*budgets, None]:
         if budget is not None and budget < row:
@@ -236,7 +235,7 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
     pack; reports the accuracy gap and the exact memory ratio."""
     _check_seeds(seeds)
     cfg = cfg or AdaptationConfig()
-    cond_accs = [r.post_accuracy for r in scenario.ground_truth_adaptation(cfg, seeds)]
+    cond_accs = [r.post_accuracy for r in scenario.adapt(scenario.true_dist, cfg, seeds)]
     uncond_accs = [r.post_accuracy
                    for r in scenario.adapt(scenario.true_dist, cfg, seeds, generator=pack)]
     cond_bytes = model_memory_bytes(scenario.cvae)
@@ -255,12 +254,17 @@ def cond_vs_uncond(scenario: Scenario, pack: UncondVaePack,
 # Experiment matrix
 # ---------------------------------------------------------------------------
 
-MATRIX_METHODS = (
-    "loco-ground-truth",
-    "loco-estimated",
-    "baseline-ground-truth",
-    "baseline-estimated",
-)
+# each method's reports: (scenario, seeds, cfg, baseline_hyper) -> one per seed,
+# trained as one lockstep group unless the Scenario already holds the runs
+MATRIX_METHODS = {
+    "loco-ground-truth": lambda s, seeds, cfg, hyper: s.adapt(
+        s.true_dist, replace(cfg, label_mode=LabelMode.GROUND_TRUTH), seeds),
+    "loco-estimated": lambda s, seeds, cfg, hyper: s.adapt(
+        s.estimated_dist, replace(cfg, label_mode=LabelMode.ESTIMATED), seeds),
+    "baseline-ground-truth": lambda s, seeds, cfg, hyper: s.baseline(hyper, seeds),
+    "baseline-estimated": lambda s, seeds, cfg, hyper: s.baseline(
+        hyper, seeds, labels=s.predictions),
+}
 
 
 @dataclass
@@ -290,24 +294,8 @@ class ExperimentMatrix:
             self.cells, key=lambda c: (c.scenario_name, c.method, c.seed))]}
 
 
-def _run_group(scenario: Scenario, method: str, seeds, cfg: AdaptationConfig,
-               baseline_hyper: TrainHyper | None) -> list[AdaptationReport]:
-    """One method's reports for every seed, trained as one lockstep group
-    unless the Scenario already holds a run on the same inputs."""
-    route, _, mode = method.partition("-")
-    estimated = LabelMode(mode) is LabelMode.ESTIMATED
-    if route == "baseline":
-        return scenario.baseline(baseline_hyper, seeds,
-                                 labels=scenario.predictions if estimated else None)
-    # the deployed model's argmax frequencies, as estimate_domain counts them
-    dist = (ClassDistribution.from_labels(scenario.predictions,
-                                          scenario.dataset.spec.num_classes)
-            if estimated else scenario.true_dist)
-    return scenario.adapt(dist, replace(cfg, label_mode=LabelMode(mode)), seeds)
-
-
 def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
-                          methods=MATRIX_METHODS, seeds=(0, 1, 2, 3, 4),
+                          methods=tuple(MATRIX_METHODS), seeds=(0, 1, 2, 3, 4),
                           cfg: AdaptationConfig | None = None,
                           baseline_hyper: TrainHyper | None = None) -> ExperimentMatrix:
     """Every (scenario, method, seed) cell, each holding a report or the error
@@ -322,8 +310,8 @@ def run_experiment_matrix(scenarios: list[tuple[str, Scenario]],
                 raise ValueError(f"unknown method '{method}'")
             group = [MatrixCell(name, method, seed) for seed in seeds]
             try:
-                for cell, report in zip(group, _run_group(scenario, method, seeds, cfg,
-                                                          baseline_hyper)):
+                for cell, report in zip(group, MATRIX_METHODS[method](
+                        scenario, seeds, cfg, baseline_hyper)):
                     cell.report = report
             except LocoError as exc:
                 for cell in group:

@@ -101,6 +101,15 @@ def test_estimate_domain_chunked_stream_equivalent(pipe0):
     np.testing.assert_array_equal(whole.probs, chunked.probs)
 
 
+def test_scenario_domain_estimate_is_estimate_domains(pipe0):
+    """The Scenario's estimate, counted from its one pass of the deployed
+    model over the stream, is the one estimate_domain makes."""
+    for classes in ((0, 1, 2, 3, 4), tuple(range(20))):
+        scenario = pipe0.scenario(classes)
+        expected = estimate_domain(pipe0.m0, scenario.target_stream[0])
+        np.testing.assert_array_equal(scenario.estimated_dist.probs, expected.probs)
+
+
 # --- allocation ---
 
 

@@ -9,10 +9,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loco_pda import cli, config, cvae, formats
@@ -542,6 +546,33 @@ def test_run_all_writes_what_the_stage_commands_write(tiny, tmp_path):
         assert (whole / name).read_bytes() == (staged / name).read_bytes(), name
 
 
+def test_run_all_stage_artifacts_are_its_matrix_cells(tiny, tmp_path):
+    """run-all's stage artifacts are the comparisons it reports: for the run
+    seed (the second of two scenario seeds), the adapt and baseline reports
+    are the target subset's loco-estimated and baseline-ground-truth cells,
+    the pruned model's evaluation is the no-retrain line of the sweep and of
+    the generator comparison, and the target stream file is the Scenario's."""
+    _, out = tiny
+    two = tmp_path / "two-seeds.ini"
+    two.write_text(TINY_CONFIG.replace("seeds = 0\n", "seeds = 0,1\n"), encoding="utf-8")
+    assert cli.main(["run-all", "--config", str(two), "--out", str(out), "--seed", "1"]) == 0
+
+    def read(name):
+        return json.loads((out / name).read_text())
+
+    cells = {(c["scenario"], c["method"], c["seed"]): c["report"]
+             for c in read(cli.MATRIX)["cells"]}
+    assert read(cli.ADAPT_REPORT) == cells["classes-0-1", "loco-estimated", 1]
+    assert read(cli.BASELINE_REPORT) == cells["classes-0-1", "baseline-ground-truth", 1]
+    unadapted = read(cli.EVALUATION)["pruned_no_retrain"]
+    assert unadapted == read(cli.SWEEP_JSON)["no_retrain_accuracy"]
+    assert unadapted == read(cli.UNCOND_COMPARE)["no_retrain_accuracy"]
+    scenario = cli.Context(load_config(two), 1, out).scenario((0, 1))
+    stream = formats.load_activations(out / cli.TARGET_STREAM)
+    np.testing.assert_array_equal(stream.features, scenario.target_stream[0])
+    np.testing.assert_array_equal(stream.labels, scenario.target_stream[1])
+
+
 def test_run_all_runs_each_ground_truth_retraining_once(tiny, training_calls):
     """One run-all: adapt 1, baseline 1, sweep 4 (loco line, two budgets, the
     unbounded point), compare-uncond 1 (the conditional line is the sweep's),
@@ -743,6 +774,69 @@ def test_run_all_reruns_in_order_a_stage_whose_child_fails(tiny, tmp_path, monke
     assert int(pid_file.read_text()) == parent
     _assert_same_tree(forking, rerun)
     _assert_no_child_left()
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and has not yet ended (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _children(pid: int) -> list[int]:
+    """The pids of the running children of process pid."""
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:  # ended while we looked
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid and _running(int(entry)):
+            kids.append(int(entry))
+    return kids
+
+
+def test_run_all_child_dies_with_its_parent(tiny, tmp_path):
+    """A SIGTERM sent to run-all alone, while the CVAE trains, ends the
+    parent without its cleanup; the forked pack child must end with it
+    (within 2 s) and write no pack file."""
+    reason = _fork_skip_reason()
+    if reason:
+        pytest.skip(reason)
+    _, out = tiny
+    slow = tmp_path / "slow.ini"  # the CVAE and the pack train for minutes
+    slow.write_text(TINY_CONFIG.replace("epochs = 4\n", "epochs = 100000\n"),
+                    encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen([sys.executable, "-m", "loco_pda.cli", "run-all",
+                             "--config", str(slow), "--out", str(out)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while child is None and proc.poll() is None and time.monotonic() < deadline:
+            kids = _children(proc.pid)
+            child = kids[0] if kids else None
+            time.sleep(0.01)
+        assert child is not None, "run-all forked no child"
+        proc.send_signal(signal.SIGTERM)
+        sent = time.monotonic()
+        assert proc.wait(timeout=10) == -signal.SIGTERM
+        while _running(child) and time.monotonic() < sent + 2:
+            time.sleep(0.01)
+        assert not _running(child), "the pack child outlived run-all"
+        assert not list(out.glob("uncond_*.lpmd"))
+        assert not (out / "manifest_train-uncond.json").exists()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if child is not None and _running(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def test_run_all_fork_skip_reason_restates_can_fork():

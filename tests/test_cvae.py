@@ -368,6 +368,20 @@ def test_align_latent_centers_the_aggregated_posterior():
     np.testing.assert_allclose(total_var, 1.0, atol=1e-2)
 
 
+def test_aligned_pack_matches_the_class_means(pipe0, uncond_pack_for):
+    """The seed-0 pack's 2,000-row-per-class pools sit near the real class
+    means: the worst class-mean gap is .10-.11 of the smallest real gap
+    between classes with the latent alignment and about .20 without it, so
+    the bound .15 fails when the pack skips align_latent."""
+    acts, s = pipe0.acts, pipe0.dataset.spec.num_classes
+    real = np.stack([acts.features[acts.labels == c].mean(axis=0) for c in range(s)])
+    gaps = np.linalg.norm(real[:, None] - real[None, :], axis=2)
+    gen = generate_activations(uncond_pack_for(0), np.full(s, 2000), seed=1)
+    generated = np.stack([gen.features[gen.labels == c].mean(axis=0) for c in range(s)])
+    worst = np.linalg.norm(generated - real, axis=1).max()
+    assert worst < 0.15 * gaps[~np.eye(s, dtype=bool)].min()
+
+
 def test_align_latent_conditional_requires_labels():
     model = _tiny_model()
     with pytest.raises(LabelError):

@@ -283,7 +283,8 @@ def test_scenario_stream_values_computed_once_and_read_only(pipe0, monkeypatch):
     assert seen.count(("predict", pipe0.m0)) == 1
 
     cached = [*scenario.target_stream, *scenario.target_val, scenario.stored.features,
-              scenario.stored.labels, scenario.predictions, scenario.true_dist.probs]
+              scenario.stored.labels, scenario.predictions, scenario.true_dist.probs,
+              scenario.estimated_dist.probs]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -311,19 +312,19 @@ def test_scenario_runs_each_ground_truth_retraining_once(pipe0, training_calls):
     _estimated_runs(scenario, cfg)
     assert sum(calls) == 3          # the predicted labels are the true ones here
 
-    first, = scenario.ground_truth_adaptation(cfg, (0,))
-    assert scenario.ground_truth_adaptation(replace(cfg), (0,))[0] is first
-    estimated, = scenario.ground_truth_adaptation(
-        replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))
+    first, = scenario.adapt(scenario.true_dist, cfg, (0,))
+    assert scenario.adapt(scenario.true_dist, replace(cfg), (0,))[0] is first
+    estimated, = scenario.adapt(
+        scenario.true_dist, replace(cfg, label_mode=LabelMode.ESTIMATED), (0,))
     assert estimated.label_mode is LabelMode.ESTIMATED
     assert estimated == replace(first, label_mode=LabelMode.ESTIMATED)
     assert sum(calls) == 3
     misses = [
-        lambda: pipe0.scenario((0, 1, 2)).ground_truth_adaptation(cfg, (0,)),
-        lambda: scenario.ground_truth_adaptation(cfg, (1,)),
-        lambda: scenario.ground_truth_adaptation(
-            replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), (0,)),
-        lambda: scenario.ground_truth_adaptation(replace(cfg, total_generated=101), (0,)),
+        lambda: pipe0.scenario((0, 1, 2)).adapt(scenario.true_dist, cfg, (0,)),
+        lambda: scenario.adapt(scenario.true_dist, cfg, (1,)),
+        lambda: scenario.adapt(
+            scenario.true_dist, replace(cfg, hyper=replace(cfg.hyper, lr=2e-6)), (0,)),
+        lambda: scenario.adapt(scenario.true_dist, replace(cfg, total_generated=101), (0,)),
         lambda: pipe0.scenario((0, 1, 2)).baseline(QUICK_BASELINE, (0,)),
         lambda: scenario.baseline(QUICK_BASELINE, (1,)),
         lambda: scenario.baseline(replace(QUICK_BASELINE, lr=2e-3), (0,)),
@@ -434,11 +435,11 @@ def test_scenario_trains_the_missing_seeds_as_one_group(pipe0, training_calls):
     lockstep call, and returns every report in the order of its seeds."""
     scenario = pipe0.scenario((0, 1, 2))
     cfg = AdaptationConfig(total_generated=100, hyper=QUICK_ADAPT.hyper)
-    one, = scenario.ground_truth_adaptation(cfg, (1,))
-    reports = scenario.ground_truth_adaptation(cfg, (0, 1, 2))
+    one, = scenario.adapt(scenario.true_dist, cfg, (1,))
+    reports = scenario.adapt(scenario.true_dist, cfg, (0, 1, 2))
     assert training_calls == [1, 2]
     assert reports[1] is one
-    assert scenario.ground_truth_adaptation(cfg, (2, 0)) == [reports[2], reports[0]]
+    assert scenario.adapt(scenario.true_dist, cfg, (2, 0)) == [reports[2], reports[0]]
     base = scenario.baseline(QUICK_BASELINE, (3, 4))
     assert scenario.baseline(QUICK_BASELINE, (4, 5))[0] is base[1]
     assert training_calls == [1, 2, 2, 1]
