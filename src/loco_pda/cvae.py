@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, LabelError, ShapeError
+from .errors import DivergenceError, LabelError, NumericError, ShapeError
 from .models import ActivationBatch
 from .numerics import (
     F32,
@@ -206,7 +206,8 @@ class VaeEpochStats:
 def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
             hyper: CvaeHyper, seed: int, stream: tuple[int, ...] = ()) -> list[VaeEpochStats]:
     """Train in place. Raises DivergenceError carrying the last finite epoch
-    snapshot if the loss ever goes non-finite.
+    snapshot if a step ever meets a non-finite value: in the encoder's
+    output, the loss or a gradient.
 
     stream keys separate the shuffle/noise draws of models that share a seed,
     e.g. the per-class pack members.
@@ -228,14 +229,17 @@ def fit_vae(model: CvaeModel, feats: np.ndarray, labels: np.ndarray | None,
             idx = perm[start: start + hyper.batch_size]
             bx, bo = feats[idx], None if onehot is None else onehot[idx]
             noise = noise_rng.standard_normal((len(idx), model.z_dim)).astype(F32)
-            loss, _, recon, kl = model.loss_and_grads(bx, bo, noise, beta, flat.grads)
-            if not np.isfinite(loss):
+            try:
+                loss, _, recon, kl = model.loss_and_grads(bx, bo, noise, beta, flat.grads)
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                flat.step(optimizer, epoch)
+            except NumericError as err:  # encoder output, loss or a gradient
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}; last finite snapshot is "
+                    f"{err} at epoch {epoch}; last finite snapshot is "
                     f"from epoch {checkpoint_epoch}",
                     checkpoint=flat.unflatten(checkpoint), epoch=epoch,
-                )
-            flat.step(optimizer, epoch)
+                ) from err
             loss_sum += loss * len(idx)
             recon_sum += recon * len(idx)
             kl_sum += kl * len(idx)

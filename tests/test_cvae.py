@@ -330,6 +330,47 @@ def test_divergence_carries_last_finite_checkpoint():
     assert err.epoch is not None
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_divergence_in_the_encoder_output_carries_the_checkpoint(seed):
+    """At lr 1e20 the encoder's output goes non-finite before the loss can:
+    the KL's input check catches it, and that is a divergence too."""
+    acts = ActivationBatch(
+        np.random.default_rng(seed).standard_normal((64, 8)).astype(np.float32),
+        labels=np.repeat([0, 1], 32))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError, match="kl inputs at epoch") as exc_info:
+        train_cvae(acts, 2, hyper=CvaeHyper(epochs=20, lr=1e20), seed=seed,
+                   z_dim=2, enc_widths=(8,), dec_widths=(6,))
+    err = exc_info.value
+    assert err.epoch is not None
+    assert len(err.checkpoint) == 4
+    assert all(np.all(np.isfinite(a)) for pair in err.checkpoint for a in pair)
+
+
+def test_divergence_in_a_gradient_names_the_layer():
+    """A non-finite gradient under a finite loss is refused by the optimizer;
+    fit_vae reports it as a divergence that names the layer and part, before
+    any step, so the checkpoint is the initial weights."""
+    model = _tiny_model(num_classes=2)
+    initial = [(layer.weight.copy(), layer.bias.copy()) for layer in model.layers]
+    loss_and_grads = model.loss_and_grads
+
+    def poisoned(*args, **kwargs):
+        loss, grads, recon, kl = loss_and_grads(*args, **kwargs)
+        grads[2][0][0, 0] = np.inf
+        return loss, grads, recon, kl
+
+    model.loss_and_grads = poisoned
+    feats = np.random.default_rng(0).standard_normal((16, 4)).astype(np.float32)
+    with pytest.raises(DivergenceError, match="non-finite gradient in layer 2 weight "
+                                              "at epoch 0") as exc_info:
+        fit_vae(model, feats, np.repeat([0, 1], 8), CvaeHyper(epochs=2), seed=0)
+    assert exc_info.value.epoch == 0
+    for (w, b), (w0, b0) in zip(exc_info.value.checkpoint, initial):
+        np.testing.assert_array_equal(w, w0)
+        np.testing.assert_array_equal(b, b0)
+
+
 def test_training_reduces_reconstruction_loss():
     acts = _two_class_acts()
     _, log = train_cvae(acts, 2, hyper=SMALL_HYPER, seed=0,
