@@ -37,7 +37,7 @@ def test_defaults_pin_the_recipe():
     assert cfg.within_class_sigma == pytest.approx(0.8)
     # generator recipe
     assert cfg.cvae_z_dim == 16
-    assert cfg.cvae_enc_widths == (256, 128, 64)
+    assert cfg.cvae_enc_widths == (256, 64)
     assert cfg.cvae_dec_widths == (512,)
     assert cfg.cvae_epochs == 90
     assert cfg.cvae_batch == 128
@@ -123,7 +123,7 @@ def test_default_config_hash_is_pinned():
     """The canonical rendering of the defaults (key names, section and key
     order, value forms) is the identity every manifest records."""
     assert config_hash(PipelineConfig()) == (
-        "7cfbd38f5f785f4e73d06045f345669f3894e1c725d9c26ad18be3b138711b10")
+        "a5651a3d7b99cfea4c39a18d06f45cb769180ae422142c4c189b6ff15c033e31")
 
 
 def test_parse_overrides_single_key():

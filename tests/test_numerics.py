@@ -234,7 +234,8 @@ def test_check_chain_names_the_break():
 
 
 # sha256 of every initial weight and bias, in layer order, as each model
-# drew them before relu_stack built its stacks
+# drew them before relu_stack built its stacks; the CVAE is built at the
+# encoder widths it had then, (256, 128, 64)
 INITIAL_WEIGHTS_SHA256 = {
     "mlp": "5c2df923c3e03ae6f8ca7f7b3ff3366eb4278547c3bdca0d5d12fbe675b74fb9",
     "cvae": "5b7f4fc6b97d929a713d9c9d97664abe3f9ef1df7ec5b79b937877aba67f310c",
@@ -249,7 +250,7 @@ def test_initial_weights_keep_their_bits(kind):
     if kind == "mlp":
         model = build_mlp(derive_rng(7, 1), 32, DEFAULT_FEATURE_WIDTHS, 20)
     elif kind == "cvae":
-        model = CvaeModel.create(derive_rng(7, 2), 16, 20)
+        model = CvaeModel.create(derive_rng(7, 2), 16, 20, enc_widths=(256, 128, 64))
     else:
         model = CvaeModel.create(derive_rng(7, 3), 16, 0, UNCOND_Z_DIM,
                                  UNCOND_ENC_WIDTHS, UNCOND_DEC_WIDTHS)
@@ -528,8 +529,8 @@ def _one_shot_forward(layers, x):
 
 
 # CVAE widths over 16-wide activations and 20 classes: the defaults (encoder
-# 36->256->128->64->32, decoder 36->512->16), and the wider encoder they
-# replaced (36->1024->128->64->32), so both shapes stay covered
+# 36->256->64->32, decoder 36->512->16), and the wide encoder of an earlier
+# default (36->1024->128->64->32), so both shapes stay covered
 CVAE_WIDTHS = {"default": (DEFAULT_ENC_WIDTHS, DEFAULT_DEC_WIDTHS),
                "wide": ((1024, 128, 64), (512,))}
 
