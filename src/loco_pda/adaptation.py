@@ -178,7 +178,7 @@ def _retrain(method: str, label_mode: LabelMode, mp: MlpModel, feats: np.ndarray
                      np.broadcast_to(fc.bias, lead + fc.bias.shape), fc.activation)
     train_softmax_stack([fcs], feats.reshape(lead + feats.shape[1:]),
                         labels.reshape(lead + labels.shape[1:]), hyper,
-                        seed=seeds if lead else seeds[0])
+                        seed=seeds if lead else seeds[0], logs=False)
     post = [None] * k
     if val is not None:
         stacked = MlpModel(mp.fe_layers + [fcs])

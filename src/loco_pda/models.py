@@ -26,6 +26,7 @@ from .numerics import (
     derive_rng,
     relu_stack,
     softmax_xent,
+    softmax_xent_grad,
     stack_backward,
     stack_forward,
     stage_key,
@@ -197,18 +198,25 @@ def _make_optimizer(hyper: TrainHyper):
 
 def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
                         hyper: TrainHyper, seed,
-                        val: tuple[np.ndarray, np.ndarray] | None = None):
+                        val: tuple[np.ndarray, np.ndarray] | None = None,
+                        logs: bool = True):
     """Minibatch cross-entropy training of a layer stack, in place.
 
     Shuffles per epoch with a seed-derived stream, keeps the final partial
     batch, and skips all updates when lr == 0 so a zero rate is exactly a
-    no-op. Returns one EpochStats per epoch.
+    no-op. Returns one EpochStats per epoch. A non-finite loss or gradient
+    raises NumericError naming its epoch and batch.
 
     With a leading stack axis, K runs of one shape and one hyper train in
     lockstep: layers of stacked weights [K x out x in], x [K x n x d], y
     [K x n], one seed per run in seed, and one list of EpochStats per run
     returned. Each run rounds every float as it would alone. val's inputs
     are then either shared, [m x d], or one set per run, [K x m x d].
+
+    logs=False is for a caller that reads no logs: each step then runs only
+    the forward, the loss gradient, the backward and the optimizer step, to
+    the same weights bit for bit; val goes unread, the call returns None,
+    and with lr == 0 it returns at once.
     """
     y = np.asarray(y)
     seeds = [seed] if x.ndim == 2 else list(seed)
@@ -225,6 +233,8 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     if y.min() < 0 or y.max() >= layers[-1].out_dim:
         raise LabelError(f"label out of range [0, {layers[-1].out_dim})")
     optimizer = _make_optimizer(hyper) if hyper.lr > 0 else None
+    if optimizer is None and not logs:
+        return None
     flat = FlatParams(layers)
     rngs = [derive_rng(s, stage_key("shuffle")) for s in seeds]
     # the flat row index of each run's first row, so that one take per epoch
@@ -232,24 +242,42 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
     first = np.arange(0, y.size, n).reshape(y.shape[:-1] + (1,))
     starts = range(0, n, hyper.batch_size)
     sizes = np.array([min(hyper.batch_size, n - start) for start in starts], dtype=np.float64)
-    batch_loss = np.empty((len(starts), len(seeds)), dtype=F32)
-    pred = np.empty(y.shape, dtype=np.intp)
-    logs = [[] for _ in seeds]
+    if logs:
+        batch_loss = np.empty((len(starts), len(seeds)), dtype=F32)
+        pred = np.empty(y.shape, dtype=np.intp)
+        stats = [[] for _ in seeds]
+    else:
+        # the flat index of each row's first entry in its batch's logits:
+        # plus the row's label, that of its true-class entry
+        within = np.arange(n) % hyper.batch_size
+        rows_in_batch = np.minimum(hyper.batch_size, n - np.arange(n) + within)
+        entry = (first // n * rows_in_batch + within) * layers[-1].out_dim
     for epoch in range(hyper.epochs):
         rows = np.stack([rng.permutation(n) for rng in rngs]).reshape(y.shape) + first
         xs = x.reshape(-1, x.shape[-1]).take(rows, axis=0)
         ys = y.reshape(-1).take(rows)
+        if not logs:
+            hot = ys + entry
         for i, start in enumerate(starts):
             end = start + hyper.batch_size
             logits = stack_forward(layers, xs[..., start:end, :], keep=optimizer is not None)
-            batch_loss[i], grad, pred[..., start:end] = softmax_xent(logits, ys[..., start:end])
-            # a float sum of float32 losses cannot overflow: it is finite
-            # exactly when every run's loss is
-            if not math.isfinite(sum(batch_loss[i].tolist())):
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {i}")
+            if logs:
+                batch_loss[i], grad, pred[..., start:end] = softmax_xent(
+                    logits, ys[..., start:end])
+                # a float sum of float32 losses cannot overflow: it is finite
+                # exactly when every run's loss is
+                if not math.isfinite(sum(batch_loss[i].tolist())):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, batch {i}")
+            else:
+                grad = softmax_xent_grad(logits, hot[..., start:end])
             if optimizer is not None:
                 stack_backward(layers, grad, need_input_grad=False, out=flat.grads)
-                flat.step(optimizer, epoch)
+                try:
+                    flat.step(optimizer, epoch)
+                except NumericError as err:
+                    raise NumericError(f"{err} at epoch {epoch}, batch {i}") from None
+        if not logs:
+            continue
         hits = np.count_nonzero(pred == ys, axis=-1).reshape(-1).tolist()
         # per run, the float sum of loss * batch rows, added in batch order
         weighted = (batch_loss * sizes[:, None]).T.tolist()
@@ -258,9 +286,11 @@ def train_softmax_stack(layers: list[DenseLayer], x: np.ndarray, y: np.ndarray,
             val_logits = stack_forward(layers, val[0], keep=False)
             hit_rate = (np.argmax(val_logits, axis=-1) == val[1]).mean(axis=-1)
             val_acc = hit_rate.reshape(-1).tolist()
-        for log, loss_sum, hit, acc in zip(logs, weighted, hits, val_acc):
+        for log, loss_sum, hit, acc in zip(stats, weighted, hits, val_acc):
             log.append(EpochStats(epoch, sum(loss_sum) / n, hit / n, acc))
-    return logs[0] if x.ndim == 2 else logs
+    if not logs:
+        return None
+    return stats[0] if x.ndim == 2 else stats
 
 
 DEFAULT_FEATURE_WIDTHS = (64, 32, 16)
@@ -328,5 +358,6 @@ def prune_model(m0: MlpModel, fraction: float, dataset: LabeledDataset,
         new_layers.append(DenseLayer(weight, bias, layer.activation))
     fc = DenseLayer.create(rng, new_layers[-1].out_dim, m0.num_classes, Activation.IDENTITY)
     mp = MlpModel(new_layers + [fc], fraction)
-    train_softmax_stack(mp.layers, dataset.train_x, dataset.train_y, finetune_hyper, seed=seed)
+    train_softmax_stack(mp.layers, dataset.train_x, dataset.train_y, finetune_hyper, seed=seed,
+                        logs=False)
     return mp

@@ -258,10 +258,27 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     rows += labels
     # a float sum / batch rounds like np.mean, which divides in float64
     loss = (np.log(z[..., 0]) - shifted.take(rows)).sum(axis=-1) / batch
-    e /= z  # the softmax, turned in place into the gradient
-    e.put(rows, e.take(rows) - 1)
-    e /= batch
-    return loss, e, top
+    return loss, _xent_grad(e, z, rows), top
+
+
+def softmax_xent_grad(logits: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """softmax_xent's grad_logits alone, bit for bit, for a caller that reads
+    no loss: hot holds the flat index into logits of each row's true-class
+    entry, e.g. row * classes + label for unstacked logits."""
+    # the ufuncs' own reductions, which the array methods call through a
+    # Python wrapper: the same floats, a microsecond sooner on a tiny batch
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return _xent_grad(e, np.add.reduce(e, axis=-1, keepdims=True), hot)
+
+
+def _xent_grad(e: np.ndarray, z: np.ndarray, hot: np.ndarray) -> np.ndarray:
+    """Turn the shifted exps e, with row sums z, into the mean cross-entropy's
+    gradient in place: the softmax, less 1 at each hot entry, over the batch."""
+    e /= z
+    e.put(hot, e.take(hot) - 1)
+    e /= e.shape[-2]
+    return e
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from loco_pda.adaptation import (
     LabelMode,
     SyntheticFlip,
     adapt_classifier,
+    adapt_classifier_seeds,
     allocate_counts,
     estimate_domain,
     flip_labels,
@@ -201,6 +202,25 @@ def test_adapt_lr_zero_keeps_classifier_bit_identical(pipe0):
     np.testing.assert_array_equal(adapted.fc_layer.weight, pipe0.mp.fc_layer.weight)
     np.testing.assert_array_equal(adapted.fc_layer.bias, pipe0.mp.fc_layer.bias)
     assert report.post_accuracy == report.pre_accuracy
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_shipped_adaptation_moves_the_classifier(pipeline_for, seed):
+    """At the shipped config both entry points change most of mp's classifier
+    bits: 278-303 of 320 weights and 19 of 20 biases on seeds 0-4. A LoCO
+    route that never trains (lr 0 in adapt_classifier_seeds) changes none."""
+    pipe = pipeline_for(seed)
+    scenario = pipe.scenario()
+    fc = pipe.mp.fc_layer
+    lone, _ = adapt_classifier(pipe.mp, pipe.generator, scenario.true_dist, seed=seed)
+    runs = adapt_classifier_seeds(pipe.mp, pipe.generator, scenario.true_dist,
+                                  seeds=(seed, seed + 1))
+    for model in [lone] + [model for model, _ in runs]:
+        changed_w = np.count_nonzero(model.fc_layer.weight != fc.weight)
+        changed_b = np.count_nonzero(model.fc_layer.bias != fc.bias)
+        print(f"seed {seed}: {changed_w} of {fc.weight.size} weights, "
+              f"{changed_b} of {fc.bias.size} biases changed")
+        assert changed_w > fc.weight.size // 2 and changed_b > fc.bias.size // 2
 
 
 def test_adaptation_config_rejects_nan_learning_rate():

@@ -130,11 +130,12 @@ def test_train_lr_zero_is_exact_noop():
     ds = synth_dataset(SMALL)
     model = build_mlp(make_rng(0), 8, (6, 5), 4)
     before = [(l.weight.copy(), l.bias.copy()) for l in model.layers]
-    train_softmax_stack(model.layers, ds.train_x, ds.train_y,
-                        TrainHyper(epochs=3, batch_size=32, lr=0.0), seed=0)
-    for layer, (w, b) in zip(model.layers, before):
-        np.testing.assert_array_equal(layer.weight, w)
-        np.testing.assert_array_equal(layer.bias, b)
+    for logs in (True, False):
+        train_softmax_stack(model.layers, ds.train_x, ds.train_y,
+                            TrainHyper(epochs=3, batch_size=32, lr=0.0), seed=0, logs=logs)
+        for layer, (w, b) in zip(model.layers, before):
+            np.testing.assert_array_equal(layer.weight, w)
+            np.testing.assert_array_equal(layer.bias, b)
 
 
 def test_train_rejects_nan_learning_rate():
@@ -201,6 +202,7 @@ def _copies(layers):
 @pytest.mark.parametrize("depth", [1, 3])
 @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 def test_train_softmax_stack_is_bitwise_textbook(optimizer, depth):
+    """With logs and without: without them the call returns None."""
     ds = synth_dataset(SMALL)   # 200 rows: the last batch of 30 holds 20
     hyper = TrainHyper(epochs=4, batch_size=30, lr=1e-2, lr_step_epochs=2,
                        lr_gamma=0.5, optimizer=optimizer)
@@ -209,13 +211,16 @@ def test_train_softmax_stack_is_bitwise_textbook(optimizer, depth):
         layers, x, vx = model.layers, ds.train_x, ds.val_x
     else:  # the classifier alone, on the extractor's features
         layers, x, vx = [model.fc_layer], model.features(ds.train_x), model.features(ds.val_x)
-    got_layers, want_layers = _copies(layers), _copies(layers)
-    got = train_softmax_stack(got_layers, x, ds.train_y, hyper, seed=2, val=(vx, ds.val_y))
+    want_layers = _copies(layers)
     want = _textbook_train(want_layers, x, ds.train_y, hyper, seed=2, val=(vx, ds.val_y))
-    assert got == want
-    for a, b, before in zip(got_layers, want_layers, layers):
-        assert a.weight.tobytes() == b.weight.tobytes() != before.weight.tobytes()
-        assert a.bias.tobytes() == b.bias.tobytes()
+    for logs in (True, False):
+        got_layers = _copies(layers)
+        got = train_softmax_stack(got_layers, x, ds.train_y, hyper, seed=2,
+                                  val=(vx, ds.val_y), logs=logs)
+        assert got == (want if logs else None)
+        for a, b, before in zip(got_layers, want_layers, layers):
+            assert a.weight.tobytes() == b.weight.tobytes() != before.weight.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
 
 
 @pytest.mark.parametrize("depth", [1, 3])
@@ -224,7 +229,8 @@ def test_stacked_runs_are_bitwise_textbook_runs(optimizer, depth):
     """K runs in one lockstep call, each with its own starting weights, rows,
     labels and seed, equal K textbook runs bit for bit: weights and logs.
     Depth 3 scores every run on one shared val input, depth 1 each run on its
-    own extractor's val features."""
+    own extractor's val features. Without logs the weights are the same bits
+    and the call returns None."""
     ds = synth_dataset(SMALL)   # 200 rows: the last batch of 30 holds 20
     hyper = TrainHyper(epochs=4, batch_size=30, lr=1e-2, lr_step_epochs=2,
                        lr_gamma=0.5, optimizer=optimizer)
@@ -238,33 +244,43 @@ def test_stacked_runs_are_bitwise_textbook_runs(optimizer, depth):
             runs.append((model.layers, x, y, ds.val_x))
         else:
             runs.append(([model.fc_layer], model.features(x), y, model.features(ds.val_x)))
-    stacked = [DenseLayer(np.stack([run[0][i].weight for run in runs]),
-                          np.stack([run[0][i].bias for run in runs]),
-                          runs[0][0][i].activation) for i in range(depth)]
     val_x = ds.val_x if depth == 3 else np.stack([run[3] for run in runs])
-    got = train_softmax_stack(stacked, np.stack([run[1] for run in runs]),
-                              np.stack([run[2] for run in runs]), hyper, seed=seeds,
-                              val=(val_x, ds.val_y))
+    wants = []
     for k, (layers, x, y, vx) in enumerate(runs):
         want_layers = _copies(layers)
-        assert got[k] == _textbook_train(want_layers, x, y, hyper, seeds[k], (vx, ds.val_y))
-        for a, b in zip(stacked, want_layers):
-            assert a.weight[k].tobytes() == b.weight.tobytes()
-            assert a.bias[k].tobytes() == b.bias.tobytes()
+        wants.append((want_layers,
+                      _textbook_train(want_layers, x, y, hyper, seeds[k], (vx, ds.val_y))))
+    for logs in (True, False):
+        stacked = [DenseLayer(np.stack([run[0][i].weight for run in runs]),
+                              np.stack([run[0][i].bias for run in runs]),
+                              runs[0][0][i].activation) for i in range(depth)]
+        got = train_softmax_stack(stacked, np.stack([run[1] for run in runs]),
+                                  np.stack([run[2] for run in runs]), hyper, seed=seeds,
+                                  val=(val_x, ds.val_y), logs=logs)
+        assert got == ([want for _, want in wants] if logs else None)
+        for k, (want_layers, _) in enumerate(wants):
+            for a, b in zip(stacked, want_layers):
+                assert a.weight[k].tobytes() == b.weight.tobytes()
+                assert a.bias[k].tobytes() == b.bias.tobytes()
 
 
 def test_train_names_epoch_and_batch_of_an_inf_row():
+    """With logs the loss is the first non-finite value seen; without them,
+    the first layer's weight gradient, which the optimizer refuses."""
     ds = synth_dataset(SMALL)
     x = ds.train_x.copy()
     x[57, 3] = np.inf
     # the row's place in epoch 0's shuffle gives its batch
     perm = derive_rng(4, stage_key("shuffle")).permutation(len(x))
     batch = int(np.flatnonzero(perm == 57)[0]) // 32
-    model = build_mlp(make_rng(0), 8, (6, 5), 4)
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericError, match=f"epoch 0, batch {batch}$"):
-            train_softmax_stack(model.layers, x, ds.train_y,
-                                TrainHyper(epochs=2, batch_size=32, lr=1e-3), seed=4)
+    for logs, seen in ((True, "loss"), (False, "gradient in layer 0 weight")):
+        model = build_mlp(make_rng(0), 8, (6, 5), 4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NumericError,
+                               match=f"non-finite {seen} at epoch 0, batch {batch}$"):
+                train_softmax_stack(model.layers, x, ds.train_y,
+                                    TrainHyper(epochs=2, batch_size=32, lr=1e-3), seed=4,
+                                    logs=logs)
 
 
 def test_training_is_deterministic_per_seed():
